@@ -82,7 +82,6 @@ def _bench_fidelity_config() -> LatestConfig:
 def _timed_campaign(
     workers,
     pass_block_size=None,
-    pair_batch_size=None,
     journal_root=None,
     sinks_factory=None,
 ):
@@ -90,9 +89,7 @@ def _timed_campaign(
     for i in range(_REPEATS):
         machine = make_machine("A100", seed=_SEED)
         config = replace(
-            _bench_fidelity_config(),
-            pass_block_size=pass_block_size,
-            pair_batch_size=pair_batch_size,
+            _bench_fidelity_config(), pass_block_size=pass_block_size
         )
         # A journal open refuses an existing directory, so each repeat
         # journals into its own (the fsync-per-pair cost is identical).
@@ -122,26 +119,12 @@ def test_campaign_throughput_baseline():
     engine1, _ = _timed_campaign(workers=1)
     batched, _ = _timed_campaign(workers=1, pass_block_size=25)
 
-    # Pair-parallel SoA tier at the three tracked batch widths.
-    soa = {}
-    for width in (1, 4, 12):
-        row, _ = _timed_campaign(
-            workers=1, pass_block_size=25, pair_batch_size=width
-        )
-        row["speedup_vs_engine_batched_block25"] = round(
-            row["measurements_per_s"] / batched["measurements_per_s"], 3
-        )
-        soa[f"batch_{width}"] = row
-
     # Sanity: every mode measures the full pair grid, and the batched
     # pipelines reproduce the scalar engine's measurement set exactly.
     assert serial["n_measured_pairs"] == 12
     assert engine1["n_measured_pairs"] == 12
     assert batched["n_measured_pairs"] == 12
     assert batched["n_measurements"] == engine1["n_measurements"]
-    for row in soa.values():
-        assert row["n_measured_pairs"] == 12
-        assert row["n_measurements"] == engine1["n_measurements"]
 
     cpu_count = os.cpu_count() or 1
     if cpu_count >= 4:
@@ -161,8 +144,7 @@ def test_campaign_throughput_baseline():
     payload = {
         "benchmark": (
             "A100 campaign, 4 frequencies / 12 pairs, bench fidelity; "
-            "modes: serial, engine, pass-block batched, pair-parallel SoA "
-            "(soa_pair_batch)"
+            "modes: serial, engine, pass-block batched"
         ),
         "seed": _SEED,
         "frequencies_mhz": list(_FREQUENCIES),
@@ -171,7 +153,6 @@ def test_campaign_throughput_baseline():
         "serial_legacy": serial,
         "engine_workers_1": engine1,
         "engine_batched_block25": batched,
-        "soa_pair_batch": soa,
         "engine_workers_4": engine4,
         "parallel_speedup_vs_engine_1": parallel_speedup,
         "batched_speedup_vs_engine_1": round(

@@ -135,17 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "0 forces the scalar reference loop (default 25)",
     )
     parser.add_argument(
-        "--pair-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="advance up to N frequency pairs in lockstep through one "
-        "structure-of-arrays evaluation sweep per round (results are "
-        "bit-identical for every N); runs through the execution engine, "
-        "so --workers defaults to 1 when this is given; requires the "
-        "pass-block pipeline (--pass-block > 0)",
-    )
-    parser.add_argument(
         "--calibration-cache",
         default=None,
         metavar="DIR",
@@ -199,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="deterministic fault injection for testing the recovery "
         "paths: semicolon-separated kind@index[*fires][:param] actions, "
-        "kinds kill/hang/raise/corrupt/interrupt (see repro.exec.faults)",
+        "kinds kill/hang/raise/interrupt (see repro.exec.faults)",
     )
     parser.add_argument(
         "--profile",
@@ -207,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT.pstats",
         help="profile the campaign under cProfile and write the stats to "
         "this path (inspect with python -m pstats or snakeviz); a "
-        "per-stage breakdown (phase1/probe/batch-step/peel-off/stream) is "
-        "printed to stderr",
+        "per-stage breakdown (calibration/phase1/probe/batch-step/stream) "
+        "is printed to stderr",
     )
     sim = parser.add_argument_group("simulated environment")
     sim.add_argument(
@@ -358,14 +347,6 @@ def main(argv: list[str] | None = None) -> int:
         else None
     )
 
-    if args.pair_batch is not None:
-        if args.pass_block <= 0:
-            raise SystemExit(
-                "--pair-batch needs the pass-block pipeline (--pass-block > 0)"
-            )
-        if args.workers is None:
-            # The SoA tier lives in the execution engine; route there.
-            args.workers = 1
     if args.resume:
         if args.journal is None:
             raise SystemExit("--resume needs --journal DIR")
@@ -399,7 +380,6 @@ def main(argv: list[str] | None = None) -> int:
             record_sm_count=args.sm_count,
             output_dir=args.output_dir,
             pass_block_size=args.pass_block if args.pass_block > 0 else None,
-            pair_batch_size=args.pair_batch,
             max_job_retries=args.max_job_retries,
             job_timeout_factor=args.job_timeout_factor,
             inject_faults=args.inject_faults,

@@ -157,14 +157,6 @@ class LatestConfig:
     #: changes).  25 mirrors the paper's RSE check cadence.
     pass_block_size: int | None = 25
 
-    #: pair-parallel SoA batch width of the execution engine
-    #: (:mod:`repro.core.pairbatch`): chunks of up to this many pair jobs
-    #: advance in lockstep, sharing one cross-pair evaluation sweep per
-    #: round.  ``None`` (the default) keeps the one-job-at-a-time engine
-    #: path.  Requires the pass-block pipeline (``pass_block_size`` not
-    #: ``None``) underneath; results are bit-identical for every setting.
-    pair_batch_size: int | None = None
-
     # ----- outlier filtering (Algorithm 3) ------------------------------
     outlier_config: AdaptiveDbscanConfig = field(default_factory=AdaptiveDbscanConfig)
 
@@ -247,8 +239,6 @@ class LatestConfig:
             raise ConfigError("delay/confirm iteration counts must be >= 1")
         if self.pass_block_size is not None and self.pass_block_size < 1:
             raise ConfigError("pass_block_size must be >= 1 (or None)")
-        if self.pair_batch_size is not None and self.pair_batch_size < 1:
-            raise ConfigError("pair_batch_size must be >= 1 (or None)")
         if self.job_timeout_factor is not None and self.job_timeout_factor <= 0:
             raise ConfigError("job_timeout_factor must be positive (or None)")
         if self.job_timeout_floor_s < 0:

@@ -46,9 +46,9 @@ The fingerprint covers every result-affecting configuration field plus
 the machine blueprint (architecture, seed, hostname, thermal setup, ...).
 Fields that provably cannot change results are excluded so a resume may
 legitimately vary them: ``output_dir``, fault injection, the supervision
-knobs (timeouts/retries/backoff), and the ``pass_block_size`` /
-``pair_batch_size`` batching widths — the executor's bit-identity
-contract guarantees those only change scheduling, never measurements.
+knobs (timeouts/retries/backoff), and the ``pass_block_size`` batching
+width — the executor's bit-identity contract guarantees those only
+change scheduling, never measurements.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ _FINGERPRINT_EXCLUDED = frozenset(
         "retry_backoff_s",
         "retry_backoff_max_s",
         "pass_block_size",
-        "pair_batch_size",
         "calibration_cache",
     }
 )

@@ -138,22 +138,14 @@ def _evaluate_deferred_block(raws, bench, target_stats, cfg):
 
 
 class PairBlockRunner:
-    """Resumable speculate/resolve state machine of one pair's blocked loop.
+    """Speculate/resolve state machine of one pair's blocked loop.
 
-    The blocked measurement loop factored into explicit phases so two
-    drivers can share one control-flow implementation:
-
-    * :func:`measure_pair_blocked` drives a single runner to completion —
-      speculate, evaluate the block, resolve, repeat;
-    * the pair-parallel tier (:mod:`repro.core.pairbatch`) drives N
-      runners in lockstep, evaluating all speculated blocks in one
-      cross-pair array sweep between the per-runner speculate and resolve
-      steps.
-
-    Because the scalar decision logic lives here exactly once, any driver
-    that feeds each runner the per-pass evaluations in speculation order
-    reproduces ``measure_pair_blocked`` — and therefore the scalar
-    reference loop — bit for bit.
+    The blocked measurement loop factored into explicit phases, which
+    :func:`measure_pair_blocked` drives to completion: speculate a block
+    of passes, evaluate the block in one array sweep, resolve, repeat.
+    Keeping the scalar decision logic in :meth:`resolve`, apart from the
+    array evaluation, is what lets the blocked loop reproduce the scalar
+    reference loop bit for bit.
     """
 
     def __init__(
@@ -190,9 +182,6 @@ class PairBlockRunner:
         self.consecutive_failures = 0
         self.passes = 0
         self.done = False
-        #: True when the last resolve grew the window (and rolled the
-        #: speculated suffix back) — the batch tier's peel-off signal
-        self.window_grew = False
         self._events: list[_BlockEvent] = []
 
     # ------------------------------------------------------------------
@@ -247,7 +236,6 @@ class PairBlockRunner:
             spec_consecutive = 0  # speculation assumes the pass evaluates ok
             events.append(_BlockEvent("raw", raw, machine.checkpoint()))
         self._events = events
-        self.window_grew = False
 
     @property
     def pending_raws(self) -> list[RawSwitchData]:
@@ -261,8 +249,7 @@ class PairBlockRunner:
         """Walk the speculated block against its per-pass evaluations.
 
         ``evaluations`` must hold one :class:`SwitchEvaluation` per entry
-        of :attr:`pending_raws`, in order — however they were computed
-        (single-pair block sweep or cross-pair group sweep).
+        of :attr:`pending_raws`, in order.
         """
         cfg, machine, pair = self.cfg, self.machine, self.pair
         events = self._events
@@ -340,7 +327,6 @@ class PairBlockRunner:
                 # The suffix ran with the stale window — divergence.
                 if not is_last:
                     machine.restore(event.checkpoint)
-                self.window_grew = True
                 break
             if self.consecutive_failures >= cfg.max_consecutive_failures:
                 if not pair.measurements:

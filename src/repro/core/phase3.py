@@ -46,7 +46,6 @@ from repro.stats.descriptive import SampleStats
 from repro.stats.intervals import (
     difference_ci,
     difference_ci_batch,
-    difference_ci_rows,
     two_sigma_band,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "SwitchEvaluation",
     "evaluate_switch",
     "evaluate_switch_block_deferred",
-    "evaluate_switch_group_deferred",
     "evaluate_switch_reference",
     "detection_band",
 ]
@@ -394,149 +392,6 @@ def evaluate_switch_block_deferred(
         diffs, ends, list(ts_acc), has_post, found, first,
         target_stats, cfg,
     )
-
-
-def evaluate_switch_group_deferred(
-    start0: np.ndarray,
-    ends: np.ndarray,
-    ts_acc: "list[float]",
-    target_stats_list: "list[SampleStats]",
-    cfg: LatestConfig,
-) -> list[SwitchEvaluation]:
-    """Cross-pair generalization of :func:`evaluate_switch_block_deferred`.
-
-    The pair-parallel execution tier (:mod:`repro.core.pairbatch`) stacks
-    same-shape passes from *different* frequency pairs into one sweep, so
-    each pass carries its own phase-1 target statistics: the detection
-    band becomes a per-pass ``(lo, hi)`` broadcast and the confirmation
-    runs through the per-row-reference Welch CI
-    (:func:`repro.stats.intervals.difference_ci_rows`).  Every per-element
-    comparison and every per-row float expression is the one the uniform
-    block evaluator applies, so each pass's evaluation is bit-identical to
-    evaluating it in a single-pair block.
-    """
-    n_pass, n_sm, n_iter = ends.shape
-    ts = np.asarray(ts_acc)
-    ts3 = ts[:, None, None]
-
-    diffs = block_scratch("diffs", ends.shape)
-    np.subtract(ends[:, :, 0], start0, out=diffs[:, :, 0])
-    np.subtract(ends[:, :, 1:], ends[:, :, :-1], out=diffs[:, :, 1:])
-
-    if n_iter > 1:
-        has_post = ends[:, :, -2] > ts[:, None]
-    else:
-        has_post = start0 > ts[:, None]
-
-    bands = [detection_band(stats, cfg) for stats in target_stats_list]
-    lo3 = np.array([b[0] for b in bands])[:, None, None]
-    hi3 = np.array([b[1] for b in bands])[:, None, None]
-    found = np.zeros((n_pass, n_sm), dtype=bool)
-    first = np.full((n_pass, n_sm), n_iter, dtype=np.int64)
-    for c0 in range(0, n_iter, _DETECT_CHUNK):
-        c1 = min(c0 + _DETECT_CHUNK, n_iter)
-        width = c1 - c0
-        d = diffs[:, :, c0:c1]
-        after = block_scratch("after", (n_pass, n_sm, width), dtype=bool)
-        if c0 == 0:
-            after[:, :, 0] = start0 > ts[:, None]
-            np.greater(ends[:, :, : c1 - 1], ts3, out=after[:, :, 1:])
-        else:
-            np.greater(ends[:, :, c0 - 1 : c1 - 1], ts3, out=after)
-        cand = block_scratch("cand", (n_pass, n_sm, width), dtype=bool)
-        np.greater_equal(d, lo3, out=cand)
-        cand &= after
-        np.less_equal(d, hi3, out=after)
-        cand &= after
-        hit = cand.any(axis=2)
-        new = hit & ~found
-        if new.any():
-            first[new] = c0 + np.argmax(cand, axis=2)[new]
-            found |= hit
-        if found.all():
-            break
-
-    return _confirm_and_finish_group(
-        diffs, ends, list(ts_acc), has_post, found, first,
-        target_stats_list, cfg,
-    )
-
-
-def _confirm_and_finish_group(
-    diffs: np.ndarray,
-    ends: np.ndarray,
-    ts_list: "list[float]",
-    has_post: np.ndarray,
-    detected: np.ndarray,
-    first: np.ndarray,
-    target_stats_list: "list[SampleStats]",
-    cfg: LatestConfig,
-) -> list[SwitchEvaluation]:
-    """Per-pass-target twin of :func:`_confirm_and_finish`.
-
-    Suffix statistics stay strictly per pass (same anchor contract as the
-    uniform path); the batched Welch CI gains per-row target moments and a
-    per-row tolerance, both plain broadcasts of the scalar expressions.
-    """
-    n_pass, n_sm, n_iter = diffs.shape
-
-    status = np.full((n_pass, n_sm), int(SmStatus.NO_DETECTION), dtype=np.int64)
-    status[~has_post] = int(SmStatus.NO_POST_SWITCH)
-
-    cut = first + 1
-    n_tail = (n_iter - np.clip(cut, 0, n_iter)).astype(np.int64)
-    short = detected & (n_tail < cfg.min_confirm_tail)
-    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
-    status[short] = int(SmStatus.SHORT_TAIL)
-
-    confirm = detected & ~short
-    per_pass_rows = [np.flatnonzero(confirm[b]) for b in range(n_pass)]
-    stats = [
-        (b, _suffix_stats(diffs[b], cut[b][rows_b], rows=rows_b))
-        for b, rows_b in enumerate(per_pass_rows)
-        if rows_b.size
-    ]
-    valid = np.zeros((n_pass, n_sm), dtype=bool)
-    if stats:
-        tail_mean = np.concatenate([s[0] for _, s in stats])
-        tail_std = np.concatenate([s[1] for _, s in stats])
-        tail_n = np.concatenate([s[2] for _, s in stats])
-        mean_b = np.concatenate(
-            [np.full(s[0].size, target_stats_list[b].mean) for b, s in stats]
-        )
-        var_b = np.concatenate(
-            [np.full(s[0].size, target_stats_list[b].variance) for b, s in stats]
-        )
-        n_b = np.concatenate(
-            [np.full(s[0].size, target_stats_list[b].n) for b, s in stats]
-        )
-        lb, hb = difference_ci_rows(
-            tail_mean, tail_std * tail_std, tail_n,
-            mean_b, var_b, n_b, cfg.confidence,
-        )
-        tol = cfg.tolerance_rel * mean_b
-        ok = ((lb < 0.0) & (0.0 < hb)) | (np.abs(tail_mean - mean_b) < tol)
-        offset = 0
-        for b, rows_b in enumerate(per_pass_rows):
-            if rows_b.size:
-                valid[b, rows_b[ok[offset : offset + rows_b.size]]] = True
-                offset += rows_b.size
-
-    return [
-        _finish(
-            n_sm,
-            n_iter,
-            ends[b],
-            ts_list[b],
-            status[b],
-            has_post[b],
-            detected[b],
-            short[b],
-            first[b],
-            valid[b],
-        )
-        for b in range(n_pass)
-    ]
 
 
 def _confirm_and_finish(

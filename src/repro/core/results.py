@@ -381,8 +381,8 @@ class CampaignResult:
 class ResultAccumulator:
     """The sink that assembles a :class:`CampaignResult` from the stream.
 
-    Every execution tier — serial loop, process-pool engine, warm-pool
-    batches, journal-resume replay — emits the campaign event stream
+    Every execution tier — serial loop, process-pool engine, service
+    thread fleet, journal-resume replay — emits the campaign event stream
     (:mod:`repro.core.stream`), and this sink is the *only* way a
     ``CampaignResult`` is built from a live campaign.  Pair events are
     keyed by flat grid index, so completion-order delivery from the pool

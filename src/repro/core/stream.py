@@ -1,10 +1,10 @@
 """The campaign event stream: one typed, ordered result pipeline.
 
-Every execution tier — the strictly-serial loop, the process-pool engine,
-the warm-pool SoA batch tier, and journal-resume replay — produces the
-same stream of campaign events, and every consumer of campaign results is
-a *sink* attached to it.  The stream is the seam incremental consumers
-plug into: result accumulation
+Every execution tier — the strictly-serial loop, the in-process and
+process-pool engine, the service's thread fleet, and journal-resume
+replay — produces the same stream of campaign events, and every
+consumer of campaign results is a *sink* attached to it.  The stream is
+the seam incremental consumers plug into: result accumulation
 (:class:`~repro.core.results.ResultAccumulator`), the durable journal
 (:class:`~repro.core.journal.JournalSink`), incremental CSV output
 (:class:`~repro.core.csvio.CsvStreamSink`), live progress reporting

@@ -38,12 +38,10 @@ deterministic fault injection (:mod:`repro.exec.faults`).
     result = run_campaign(machine, config, workers=4)   # == workers=1
 """
 
-from repro.exec.daemon import WarmPool
 from repro.exec.engine import (
     CampaignExecutor,
     mp_context,
     run_campaign_parallel,
-    run_pair_batch,
     run_pair_job,
 )
 from repro.exec.faults import FaultAction, FaultInjected, FaultPlan
@@ -55,7 +53,6 @@ from repro.exec.jobs import (
     SupervisionPolicy,
     pair_seed_sequence,
 )
-from repro.exec.shm import cleanup_segment, pack_results, unpack_results
 from repro.exec.supervise import (
     UnitState,
     quarantine_results,
@@ -74,16 +71,11 @@ __all__ = [
     "ProbeCostModel",
     "SupervisionPolicy",
     "UnitState",
-    "WarmPool",
-    "cleanup_segment",
     "mp_context",
-    "pack_results",
     "pair_seed_sequence",
     "quarantine_results",
     "run_campaign_parallel",
-    "run_pair_batch",
     "run_pair_job",
     "run_units_inprocess",
     "run_units_pool",
-    "unpack_results",
 ]

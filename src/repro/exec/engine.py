@@ -12,9 +12,9 @@ the blueprint with the facet's own
 :func:`~repro.exec.jobs.calibration_seed_sequence` stream, making every
 facet calibration a pure function of ``(blueprint, config, facet_index,
 facet, start_time)`` — so cold campaigns dispatch them *in parallel*
-across the process pool (or warm-pool daemons) with results provably
-bit-identical to sequential execution, and warm campaigns replay them
-from the persistent calibration cache
+across the process pool with results provably bit-identical to
+sequential execution, and warm campaigns replay them from the
+persistent calibration cache
 (:mod:`repro.core.calibcache`, ``--calibration-cache DIR``) without a
 single phase-1 or probe pass.  The driver clock then advances by each
 facet's recorded calibration time in facet order, so the campaign epoch
@@ -59,9 +59,9 @@ Fault tolerance
 ---------------
 Dispatch is **supervised** (:class:`~repro.exec.jobs.SupervisionPolicy`,
 with the generic retry/deadline/quarantine loops living in
-:mod:`repro.exec.supervise`): a unit (one job, or one SoA chunk) that
-crashes its worker, times out against its cost-model-derived deadline, or
-fails result transport is retried on a rebuilt pool with exponential
+:mod:`repro.exec.supervise`): a unit (one job) that crashes its
+worker, times out against its cost-model-derived deadline, or fails
+result transport is retried on a rebuilt pool with exponential
 backoff — announced as a :class:`~repro.core.stream.PairRetried` event —
 and because replica seed streams derive only from grid indices, a retry
 is *bit-identical* to an undisturbed run.  A unit that keeps failing past
@@ -114,8 +114,6 @@ from repro.core.stream import (
 from repro.errors import CampaignInterrupted, ConfigError
 from repro.exec.faults import FaultPlan
 from repro.exec.jobs import (
-    CalibrationJob,
-    CalibrationPlan,
     CampaignPayload,
     PairJob,
     PairJobResult,
@@ -130,11 +128,9 @@ from repro.exec.supervise import (
 from repro.exec.worker import (
     calibrate_facet,
     fire_worker_faults,
-    run_pair_batch,
     run_pair_job,
     worker_calibrate,
     worker_init,
-    worker_run_batch,
     worker_run_unit,
 )
 from repro.machine import Machine
@@ -145,7 +141,6 @@ __all__ = [
     "fire_worker_faults",
     "mp_context",
     "run_campaign_parallel",
-    "run_pair_batch",
     "run_pair_job",
 ]
 
@@ -201,11 +196,6 @@ class CampaignExecutor:
     workers:
         Process count.  ``1`` runs the job pipeline in-process; any value
         produces the identical :class:`CampaignResult`.
-    pool:
-        Optional :class:`repro.exec.daemon.WarmPool` of persistent worker
-        daemons.  When given, jobs dispatch through it instead of a
-        per-campaign ``ProcessPoolExecutor`` — the payload and skeleton
-        caches then survive across campaigns.  Results are identical.
     journal:
         Optional directory for a durable
         :class:`~repro.core.journal.CampaignJournal`.  Every completed
@@ -231,7 +221,6 @@ class CampaignExecutor:
         machine: Machine,
         config: LatestConfig,
         workers: int = 1,
-        pool=None,
         journal: "str | None" = None,
         resume: bool = False,
         sinks=(),
@@ -251,7 +240,6 @@ class CampaignExecutor:
         self.machine = machine
         self.config = config
         self.workers = workers
-        self.pool = pool
         self.journal_dir = None if journal is None else str(journal)
         self.resume = bool(resume)
         self.sinks = tuple(sinks)
@@ -325,25 +313,6 @@ class CampaignExecutor:
                 )
         return jobs, skips
 
-    def _batch_chunks(self, jobs: list[PairJob]) -> list[list[PairJob]]:
-        """Facet-homogeneous job chunks of at most ``pair_batch_size``.
-
-        Jobs arrive facet-major in index order, so chunking consecutive
-        runs keeps every chunk on one facet (one phase-1/probe pairing)
-        and its members in pair-index order.
-        """
-        size = self.config.pair_batch_size
-        chunks: list[list[PairJob]] = []
-        run: list[PairJob] = []
-        for job in jobs:
-            if run and (job.facet != run[-1].facet or len(run) >= size):
-                chunks.append(run)
-                run = []
-            run.append(job)
-        if run:
-            chunks.append(run)
-        return chunks
-
     def _calibrate_on_driver(
         self, bench_driver, facet_index: int, facet
     ) -> FacetCalibration:
@@ -401,27 +370,16 @@ class CampaignExecutor:
         """Run replica-scheme calibrations, in parallel when possible.
 
         Each entry of ``todo`` is ``(facet_index, facet)``.  Because every
-        replica calibration is a pure function of its arguments, the three
-        dispatch paths — in-process loop, per-campaign process pool, warm
-        daemon pool — are interchangeable: results are bit-identical, only
-        wall-clock time differs.
+        replica calibration is a pure function of its arguments, the two
+        dispatch paths — in-process loop and per-campaign process pool —
+        are interchangeable: results are bit-identical, only wall-clock
+        time differs.
         """
         if not todo:
             return []
-        config = self.config
         blueprint = self.machine.blueprint
-        if self.pool is not None:
-            return self.pool.run_calibrations(
-                CalibrationPlan(
-                    blueprint=blueprint, config=config, start_time=t_begin
-                ),
-                [
-                    CalibrationJob(facet_index=i, facet=facet)
-                    for i, facet in todo
-                ],
-            )
         args = [
-            (blueprint, config, i, facet, t_begin) for i, facet in todo
+            (blueprint, self.config, i, facet, t_begin) for i, facet in todo
         ]
         if self.workers == 1 or len(args) <= 1:
             return [calibrate_facet(*a) for a in args]
@@ -562,91 +520,40 @@ class CampaignExecutor:
                 return None
         if not jobs:
             return []
-        # The SoA lockstep tier needs the pass-block pipeline underneath
-        # (its runners speculate in deferred blocks).
-        batching = (
-            self.config.pair_batch_size is not None
-            and self.config.pass_block_size is not None
-        )
-        if self.pool is None and (self.workers == 1 or len(jobs) <= 1):
-            units = (
-                self._batch_chunks(jobs)
-                if batching
-                else [[job] for job in jobs]
-            )
+        if self.workers == 1 or len(jobs) <= 1:
             skeleton: dict = {}
 
             def measure(unit_jobs):
                 fire_worker_faults(unit_jobs, payload, in_process=True)
-                if batching:
-                    return run_pair_batch(unit_jobs, payload, skeleton)
                 return [
                     run_pair_job(job, payload, skeleton)
                     for job in unit_jobs
                 ]
 
             return run_units_inprocess(
-                units, policy, guard, on_result, measure, on_retry=on_retry
+                [[job] for job in jobs],
+                policy,
+                guard,
+                on_result,
+                measure,
+                on_retry=on_retry,
             )
 
         # Straggler-aware dispatch: longest-expected pair first, so the
         # costliest job never starts last and the pool drains evenly.
-        # Ordering cannot affect results (the merge is index-keyed).
-        # Each facet gets the cost model built from *its own* probe
-        # latencies — iteration times (and thus pair costs) respond to the
-        # facet clock (the locked memory P-state of a grid, the locked SM
-        # clock of a facet sweep), so ranking a k≥2-facet campaign with
-        # the first facet's probes would misorder whole facets — plus the
-        # facet's fixed per-pass duration, so cross-facet ordering stays
-        # honest when locked-SM facets differ in iteration time.  The same
-        # cost model feeds the supervision deadlines: a unit's timeout
-        # scales with its expected cost.
-        models: dict[float | None, ProbeCostModel] = {
-            facet: ProbeCostModel(
-                payload.probe_for(facet),
-                fixed_pass_s=self._fixed_pass_by_facet.get(facet, 0.0),
-            )
-            for facet in {job.facet for job in jobs}
-        }
-
-        def job_cost(job: PairJob) -> float:
-            return models[job.facet].cost(job.init_mhz, job.target_mhz)
-
-        if batching:
-            units = sorted(
-                self._batch_chunks(jobs),
-                key=lambda chunk: (
-                    -sum(job_cost(job) for job in chunk),
-                    chunk[0].index,
-                ),
-            )
-        else:
-            units = [
-                [job]
-                for job in sorted(
-                    jobs, key=lambda job: (-job_cost(job), job.index)
-                )
-            ]
-        costs = [sum(job_cost(job) for job in unit) for unit in units]
-        if self.pool is not None:
-            return self.pool.run_units(
-                payload,
-                units,
-                batched=batching,
-                policy=policy,
-                costs=costs,
-                guard=guard,
-                on_result=on_result,
-                on_retry=on_retry,
-            )
+        # Ordering cannot affect results (the merge is index-keyed).  The
+        # same cost model feeds the supervision deadlines: a unit's
+        # timeout scales with its expected cost.
+        job_cost = self.job_cost(payload)
+        ranked = sorted(jobs, key=lambda job: (-job_cost(job), job.index))
         return run_units_pool(
-            units,
-            costs,
+            [[job] for job in ranked],
+            [job_cost(job) for job in ranked],
             policy,
             guard,
             on_result,
             workers=self.workers,
-            fn=worker_run_batch if batching else worker_run_unit,
+            fn=worker_run_unit,
             initializer=worker_init,
             initargs=(payload,),
             on_retry=on_retry,
@@ -770,11 +677,16 @@ class CampaignExecutor:
     def job_cost(self, payload: CampaignPayload):
         """Expected-cost callable over this campaign's jobs.
 
-        Built from each facet's own probe latencies plus its fixed
-        per-pass duration (filled by :meth:`_calibrate_facets`) — the
-        same model :meth:`_execute` ranks jobs with.  Exposed so
-        external dispatchers (the service tier) can size shards and
-        scheduler quanta consistently with engine dispatch.
+        Each facet gets the cost model built from *its own* probe
+        latencies — iteration times (and thus pair costs) respond to the
+        facet clock (the locked memory P-state of a grid, the locked SM
+        clock of a facet sweep), so ranking a k≥2-facet campaign with the
+        first facet's probes would misorder whole facets — plus the
+        facet's fixed per-pass duration (filled by
+        :meth:`_calibrate_facets`), so cross-facet ordering stays honest
+        when locked-SM facets differ in iteration time.  :meth:`_execute`
+        ranks jobs with it; external dispatchers (the service tier) size
+        shards and scheduler quanta with the same callable.
         """
         models: dict = {}
 
@@ -899,7 +811,6 @@ def run_campaign_parallel(
     machine: Machine,
     config: LatestConfig,
     workers: int = 1,
-    pool=None,
     journal: "str | None" = None,
     resume: bool = False,
     sinks=(),
@@ -909,7 +820,6 @@ def run_campaign_parallel(
         machine,
         config,
         workers=workers,
-        pool=pool,
         journal=journal,
         resume=resume,
         sinks=sinks,

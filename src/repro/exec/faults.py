@@ -1,9 +1,9 @@
 """Deterministic fault injection for the campaign execution engine.
 
-The recovery machinery (worker supervision, retries, journal + resume,
-shared-memory leak sweeps) is only trustworthy if every path is exercised
-under *reproducible* faults.  A :class:`FaultPlan` is parsed from a spec
-string (``--inject-faults``) that travels to worker processes inside the
+The recovery machinery (worker supervision, retries, journal + resume)
+is only trustworthy if every path is exercised under *reproducible*
+faults.  A :class:`FaultPlan` is parsed from a spec string
+(``--inject-faults``) that travels to worker processes inside the
 campaign config, so driver and workers agree on exactly which job
 triggers which fault — no timing, no randomness, no cross-process state.
 
@@ -14,19 +14,13 @@ Semicolon/comma-separated actions, each ``kind@index[*fires][:param]``:
 ``kill@K``
     The worker process running grid-index-``K``'s job calls
     ``os._exit(1)`` before measuring (a hard crash: ``BrokenProcessPool``
-    on the executor path, a dead daemon on the warm pool).
+    on the process-pool path).
 ``hang@K[:SECONDS]``
     The job sleeps for ``SECONDS`` real seconds (default 3600) — long
     enough that the supervisor's per-job timeout fires first.
 ``raise@K``
     Raises :class:`FaultInjected` inside the measurement entry point (a
     crash *inside* the measure phases that surfaces as a worker error).
-``corrupt@K``
-    The warm-pool worker computes index ``K``'s unit normally but mails
-    back a shared-memory envelope naming a segment that does not exist,
-    so the driver-side unpack fails — exercising the transport-failure
-    retry and the stray-segment sweep.  (The executor path pickles
-    results directly, so this action is a no-op there.)
 ``interrupt@N``
     Fires on the **driver** after the ``N``-th pair result has been
     merged: sends ``SIGINT`` to the driver process itself, exercising the
@@ -63,7 +57,7 @@ class FaultInjected(RuntimeError):
     """The error raised by ``raise@K`` fault actions."""
 
 
-_KINDS = ("kill", "hang", "raise", "corrupt", "interrupt")
+_KINDS = ("kill", "hang", "raise", "interrupt")
 
 _ACTION_RE = re.compile(
     r"^(?P<kind>[a-z]+)@(?P<index>\d+)"
@@ -84,12 +78,12 @@ class FaultAction:
 class FaultPlan:
     """A parsed, deterministic set of fault triggers.
 
-    Worker-side entry points call :meth:`fire_worker` /
-    :meth:`should_corrupt` with the jobs they are about to run; the
-    driver calls :meth:`fire_driver` with the running count of merged
-    pair results.  The driver-side interrupt latch is per-plan state, so
-    parse one plan per campaign run (``FaultPlan.parse``) on the driver;
-    workers may share the process-cached :func:`fault_plan`.
+    Worker-side entry points call :meth:`fire_worker` with the jobs they
+    are about to run; the driver calls :meth:`fire_driver` with the
+    running count of merged pair results.  The driver-side interrupt
+    latch is per-plan state, so parse one plan per campaign run
+    (``FaultPlan.parse``) on the driver; workers may share the
+    process-cached :func:`fault_plan`.
     """
 
     def __init__(self, actions: tuple[FaultAction, ...]) -> None:
@@ -172,14 +166,6 @@ class FaultPlan:
                 f"injected fault at job index {job.index} "
                 f"(attempt {attempt})"
             )
-
-    def should_corrupt(self, jobs) -> bool:
-        """Whether this unit's result envelope should be corrupted."""
-        return any(
-            self._matching("corrupt", job.index, getattr(job, "attempt", 0))
-            is not None
-            for job in jobs
-        )
 
     def fire_driver(self, merged_count: int) -> None:
         """Driver-side trigger: SIGINT once ``merged_count`` reaches N."""

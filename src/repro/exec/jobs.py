@@ -23,8 +23,6 @@ from repro.core.results import PairResult
 from repro.machine import MachineBlueprint
 
 __all__ = [
-    "CalibrationJob",
-    "CalibrationPlan",
     "CampaignPayload",
     "PairJob",
     "PairJobResult",
@@ -166,36 +164,6 @@ class CampaignPayload:
 
 
 @dataclass(frozen=True)
-class CalibrationJob:
-    """One facet's phase-1 + probe calibration work order.
-
-    Dispatched by the engine for cold multi-facet campaigns — across the
-    process pool or the warm daemons — before any :class:`PairJob`
-    exists.  Like a pair job it is tiny: the heavy shared inputs
-    (blueprint, config) travel once as a :class:`CalibrationPlan`.
-    """
-
-    facet_index: int
-    facet: float | None
-
-
-@dataclass(frozen=True)
-class CalibrationPlan:
-    """Shared payload of one campaign's parallel facet calibration.
-
-    The calibration-time counterpart of :class:`CampaignPayload` (which
-    cannot exist yet — it *carries* the phase-1/probe results the
-    calibration produces).  ``start_time`` is the driver clock at
-    campaign start; every calibration replica boots there, so results
-    are independent of the order facets calibrate in.
-    """
-
-    blueprint: MachineBlueprint
-    config: LatestConfig
-    start_time: float
-
-
-@dataclass(frozen=True)
 class PairJob:
     """One grid point's measurement work order (intentionally tiny).
 
@@ -242,8 +210,8 @@ class SupervisionPolicy:
     """Driver-side recovery policy for one campaign's job dispatch.
 
     Derived from the resilience fields of
-    :class:`~repro.core.config.LatestConfig`; shared by the process-pool
-    and warm-pool dispatch paths.  ``timeout_factor`` maps a unit's
+    :class:`~repro.core.config.LatestConfig`; shared by the in-process
+    and process-pool dispatch paths.  ``timeout_factor`` maps a unit's
     expected *virtual* cost (probe-latency cost model) to a wall-clock
     deadline; ``None`` disables deadlines.  Retries are bounded: a unit
     that fails more than ``max_retries`` times is quarantined — its pairs

@@ -1,4 +1,4 @@
-"""Supervised dispatch rounds shared by every pool execution tier.
+"""Supervised dispatch rounds shared by the engine's execution tiers.
 
 The machinery that makes campaign dispatch fault-tolerant lives here,
 decoupled from both the measurement entry points and any particular
@@ -6,10 +6,8 @@ transport: per-unit bookkeeping (:class:`UnitState`), retry/backoff/
 quarantine decisions against a :class:`~repro.exec.jobs.SupervisionPolicy`,
 deadline enforcement, and the two generic dispatch loops —
 :func:`run_units_inprocess` (shares the driver process) and
-:func:`run_units_pool` (per-round ``ProcessPoolExecutor``).  The warm-pool
-tier (:mod:`repro.exec.daemon`) implements its own transport loop but
-reuses the same :class:`UnitState`/:func:`quarantine_results` semantics,
-so all three tiers converge on identical retry and quarantine behavior.
+:func:`run_units_pool` (per-round ``ProcessPoolExecutor``) — which
+converge on identical retry and quarantine behavior.
 
 The loops are transport-generic by injection: the caller
 (:class:`~repro.exec.engine.CampaignExecutor`) passes the measurement
@@ -59,7 +57,7 @@ def mp_context():
 class UnitState:
     """Supervision bookkeeping for one dispatch unit (a job list)."""
 
-    __slots__ = ("jobs", "attempts", "cost", "deadline", "task_ids")
+    __slots__ = ("jobs", "attempts", "cost", "deadline")
 
     def __init__(self, jobs: list[PairJob], cost: float = 0.0) -> None:
         self.jobs = jobs
@@ -67,8 +65,6 @@ class UnitState:
         self.cost = cost
         #: wall-clock deadline of the current dispatch (None = no timeout)
         self.deadline: float | None = None
-        #: warm-pool task ids currently mapped to this unit
-        self.task_ids: set[int] = set()
 
     def jobs_for_attempt(self) -> list[PairJob]:
         if self.attempts == 0:

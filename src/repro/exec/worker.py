@@ -2,9 +2,10 @@
 
 Everything in this module runs (or can run) inside a worker process:
 the pool initializer installs the shared :class:`CampaignPayload` once
-per process, the ``worker_run_*`` entry points measure a dispatch unit,
-and :func:`build_job_replica` reconstructs a job's machine from the
-campaign blueprint with its deterministic per-pair seed stream.  The
+per process, the ``worker_*`` entry points measure a dispatch unit or
+calibrate a facet, and :func:`run_pair_job` reconstructs a job's
+machine from the campaign blueprint with its deterministic per-pair
+seed stream before measuring it.  The
 driver-side orchestration (job building, supervision wiring, stream
 emission) lives in :mod:`repro.exec.engine`; keeping the worker side
 separate means the code a pool initializer must import carries no
@@ -35,14 +36,11 @@ from repro.exec.jobs import (
 from repro.machine import MachineBlueprint
 
 __all__ = [
-    "build_job_replica",
     "calibrate_facet",
     "fire_worker_faults",
-    "run_pair_batch",
     "run_pair_job",
     "worker_calibrate",
     "worker_init",
-    "worker_run_batch",
     "worker_run_unit",
 ]
 
@@ -62,12 +60,12 @@ def worker_init(payload: CampaignPayload) -> None:
 def fire_worker_faults(jobs, payload, in_process: bool = False) -> None:
     """Trigger any injected worker faults gating this unit's jobs.
 
-    Lives outside :func:`run_pair_job` / :func:`run_pair_batch` so the
-    measurement entry points stay pure; every dispatch front-end (pool
-    worker, warm-pool daemon, in-process runner) calls it right before
-    measuring.  ``in_process=True`` downgrades ``kill`` to an exception —
-    the in-process runner shares the driver process, and a fault harness
-    must never take down the campaign driver itself.
+    Lives outside :func:`run_pair_job` so the measurement entry point
+    stays pure; every dispatch front-end (pool worker, in-process runner)
+    calls it right before measuring.  ``in_process=True`` downgrades
+    ``kill`` to an exception — the in-process runner shares the driver
+    process, and a fault harness must never take down the campaign
+    driver itself.
     """
     config = getattr(payload, "config", None)
     plan = fault_plan(getattr(config, "inject_faults", None))
@@ -78,111 +76,12 @@ def fire_worker_faults(jobs, payload, in_process: bool = False) -> None:
 
 
 def worker_run_unit(jobs: list[PairJob]) -> list[PairJobResult]:
-    """Non-batched unit entry point: each job measured independently."""
+    """Pool unit entry point: each job measured independently."""
     assert _WORKER_PAYLOAD is not None, "pool initializer did not run"
     fire_worker_faults(jobs, _WORKER_PAYLOAD)
     return [
         run_pair_job(job, _WORKER_PAYLOAD, _WORKER_SKELETON) for job in jobs
     ]
-
-
-def worker_run_batch(jobs: list[PairJob]) -> list[PairJobResult]:
-    assert _WORKER_PAYLOAD is not None, "pool initializer did not run"
-    fire_worker_faults(jobs, _WORKER_PAYLOAD)
-    return run_pair_batch(jobs, _WORKER_PAYLOAD, _WORKER_SKELETON)
-
-
-def build_job_replica(
-    job: PairJob, payload: CampaignPayload, skeleton: dict | None
-):
-    """Build one job's replica machine + bench (shared by both job paths)."""
-    seed = pair_seed_sequence(
-        payload.blueprint,
-        payload.config.device_index,
-        job.index,
-        job.memory_index,
-        job.axis,
-        facet_index=job.locked_sm_index,
-    )
-    machine = payload.blueprint.build(seed=seed, start_time=payload.epoch)
-    if skeleton is not None:
-        for device in machine.devices:
-            key = (device.spec.architecture, device.unit_seed)
-            device.latency_model.use_shared_cache(
-                skeleton.setdefault(key, {})
-            )
-            # Memory pair models live in their own cache: SM and memory
-            # pairs can share numerically identical frequency keys.
-            device.mem_latency_model.use_shared_cache(
-                skeleton.setdefault(key + ("memory",), {})
-            )
-    return machine, BenchContext(machine, payload.config)
-
-
-def run_pair_batch(
-    jobs: list[PairJob],
-    payload: CampaignPayload,
-    skeleton: dict | None = None,
-) -> list[PairJobResult]:
-    """Execute a facet-homogeneous chunk of jobs in SoA lockstep.
-
-    Each job still gets its own replica machine with its own per-pair
-    seed stream — identical to :func:`run_pair_job` — but the measurement
-    loops advance in lockstep through
-    :func:`repro.core.pairbatch.measure_pair_batch`, sharing one
-    cross-pair evaluation sweep per round.  Jobs whose facet clock cannot
-    be reached become skipped results without joining the batch.
-    """
-    from repro.core.pairbatch import measure_pair_batch
-
-    results: list[PairJobResult] = []
-    items = []
-    batched = []
-    for job in jobs:
-        machine, bench = build_job_replica(job, payload, skeleton)
-        t0 = machine.clock.now
-        if not bench.prepare_facet_clock(job.facet):
-            pair = PairResult(
-                init_mhz=float(job.init_mhz),
-                target_mhz=float(job.target_mhz),
-                skipped=True,
-                skip_reason=bench.axis.facet_fail_reason,
-                axis=job.axis,
-            )
-            pair.memory_mhz = job.memory_mhz
-            pair.locked_sm_mhz = job.locked_sm_mhz
-            results.append(
-                PairJobResult(
-                    index=job.index,
-                    pair=pair,
-                    elapsed_virtual_s=machine.clock.now - t0,
-                )
-            )
-            continue
-        items.append(
-            (
-                bench,
-                job.init_mhz,
-                job.target_mhz,
-                payload.phase1_for(job.facet),
-                payload.probe_for(job.facet),
-            )
-        )
-        batched.append((job, machine, t0))
-
-    if items:
-        pairs = measure_pair_batch(items, payload.config.pass_block_size)
-        for (job, machine, t0), pair in zip(batched, pairs):
-            pair.memory_mhz = job.memory_mhz
-            pair.locked_sm_mhz = job.locked_sm_mhz
-            results.append(
-                PairJobResult(
-                    index=job.index,
-                    pair=pair,
-                    elapsed_virtual_s=machine.clock.now - t0,
-                )
-            )
-    return results
 
 
 def calibrate_facet(
@@ -265,7 +164,27 @@ def run_pair_job(
     settle their memory P-state before measuring, against the phase-1
     characterization taken at that same clock.
     """
-    machine, bench = build_job_replica(job, payload, skeleton)
+    seed = pair_seed_sequence(
+        payload.blueprint,
+        payload.config.device_index,
+        job.index,
+        job.memory_index,
+        job.axis,
+        facet_index=job.locked_sm_index,
+    )
+    machine = payload.blueprint.build(seed=seed, start_time=payload.epoch)
+    if skeleton is not None:
+        for device in machine.devices:
+            key = (device.spec.architecture, device.unit_seed)
+            device.latency_model.use_shared_cache(
+                skeleton.setdefault(key, {})
+            )
+            # Memory pair models live in their own cache: SM and memory
+            # pairs can share numerically identical frequency keys.
+            device.mem_latency_model.use_shared_cache(
+                skeleton.setdefault(key + ("memory",), {})
+            )
+    bench = BenchContext(machine, payload.config)
     t0 = machine.clock.now
     # The facet clock first: the locked memory P-state of a grid job, or
     # the locked SM clock of a memory-/power-axis job (a fresh replica

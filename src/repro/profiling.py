@@ -16,17 +16,14 @@ calibration  ``calibrate_facet`` + ``_calibrate_on_driver``
              probe — the stage the calibration cache eliminates)
 phase1       ``run_phase1`` (characterization sweeps, per facet)
 probe        ``_probe_windows`` (window-sizing probe passes)
-batch-step   ``measure_pair_batch`` + ``measure_pair_blocked``
-             (lockstep SoA rounds / single-pair blocked loops)
-peel-off     ``_finish_peeled`` (diverged runners on the scalar path)
+batch-step   ``measure_pair_blocked`` (per-pair pass-block loops)
 stream       ``StreamDispatcher.emit`` + ``ResultAccumulator.on_event``
              (campaign event dispatch + index-keyed result assembly)
 ===========  =========================================================
 
-Stages may nest — a peeled runner's time is *inside* the batch-step
-total, and ``measure_pair_blocked`` is also the workers' entry point when
-no pair batching is active — so the rows are overlapping attributions
-against total time, not a partition of it.
+Stages may nest — phase 1 and the probe run inside each facet's engine
+calibration — so the rows are overlapping attributions against total
+time, not a partition of it.
 """
 
 from __future__ import annotations
@@ -44,11 +41,7 @@ STAGE_ANCHORS: dict[str, tuple[tuple[str, str], ...]] = {
     ),
     "phase1": (("phase1.py", "run_phase1"),),
     "probe": (("campaign.py", "_probe_windows"),),
-    "batch-step": (
-        ("pairbatch.py", "measure_pair_batch"),
-        ("passblock.py", "measure_pair_blocked"),
-    ),
-    "peel-off": (("pairbatch.py", "_finish_peeled"),),
+    "batch-step": (("passblock.py", "measure_pair_blocked"),),
     "stream": (
         ("stream.py", "emit"),
         ("results.py", "on_event"),

@@ -35,11 +35,9 @@ __all__ = [
     "mean_ci",
     "difference_ci",
     "difference_ci_batch",
-    "difference_ci_rows",
     "two_sigma_band",
     "welch_dof",
     "welch_dof_batch",
-    "welch_dof_rows",
 ]
 
 #: decimals the Welch dof is rounded to before the cache lookup
@@ -186,80 +184,6 @@ def difference_ci_batch(
         crit[keys == key] = value
 
     diff = mean_a - b.mean
-    return diff - crit * se, diff + crit * se
-
-
-def welch_dof_rows(
-    var_a: np.ndarray,
-    n_a: np.ndarray,
-    var_b: np.ndarray,
-    n_b: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :func:`welch_dof` with a per-row reference sample.
-
-    The pair-parallel evaluation sweep confirms tails from *different*
-    frequency pairs in one call, so the reference side is an array too.
-    Row ``i`` reproduces ``welch_dof(a_i, b_i)`` bit for bit: rows with
-    ``n <= 1`` on either side contribute no denominator term, and adding
-    a literal ``0.0`` for them leaves the other term's float unchanged.
-    """
-    var_a = np.asarray(var_a, dtype=np.float64)
-    n_a = np.asarray(n_a, dtype=np.float64)
-    var_b = np.asarray(var_b, dtype=np.float64)
-    n_b = np.asarray(n_b, dtype=np.float64)
-    va = var_a / n_a
-    vb = var_b / n_b
-    denom = np.where(n_a > 1, va * va / np.maximum(n_a - 1, 1), 0.0)
-    denom = denom + np.where(n_b > 1, vb * vb / np.maximum(n_b - 1, 1), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dof = (va + vb) ** 2 / denom
-    return np.where(denom == 0.0, np.inf, dof)
-
-
-def difference_ci_rows(
-    mean_a: np.ndarray,
-    var_a: np.ndarray,
-    n_a: np.ndarray,
-    mean_b: np.ndarray,
-    var_b: np.ndarray,
-    n_b: np.ndarray,
-    confidence: float = 0.95,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Welch CI with per-row samples on *both* sides.
-
-    The row-wise generalization of :func:`difference_ci_batch` for the
-    cross-pair evaluation sweep, where each confirmation row carries its
-    own phase-1 target statistics.  Row ``i`` reproduces
-    ``difference_ci(a_i, b_i, confidence)`` bit for bit — identical
-    per-row expressions, critical values from the same rounded-dof cache.
-    """
-    mean_a = np.asarray(mean_a, dtype=np.float64)
-    var_a = np.asarray(var_a, dtype=np.float64)
-    n_a = np.asarray(n_a, dtype=np.float64)
-    mean_b = np.asarray(mean_b, dtype=np.float64)
-    var_b = np.asarray(var_b, dtype=np.float64)
-    n_b = np.asarray(n_b, dtype=np.float64)
-    if np.any(n_a < 2) or np.any(n_b < 2):
-        raise ConfigError("difference CI needs n >= 2 on both sides")
-
-    se = np.sqrt(var_a / n_a + var_b / n_b)
-    dof = welch_dof_rows(var_a, n_a, var_b, n_b)
-
-    keys = np.where(
-        np.isfinite(dof) & (dof <= NORMAL_DOF_CUTOFF),
-        np.round(dof, DOF_DECIMALS),
-        np.inf,
-    )
-    crit = np.empty_like(keys)
-    for key in np.unique(keys):
-        value = (
-            _cached_critical_value(confidence, None)
-            if np.isinf(key)
-            else _cached_critical_value(confidence, float(key))
-        )
-        crit[keys == key] = value
-
-    diff = mean_a - mean_b
     return diff - crit * se, diff + crit * se
 
 

@@ -28,7 +28,6 @@ from repro.core.calibcache import (
 from repro.core.campaign import LatestBenchmark
 from repro.core.stream import FacetPrepared, RecordingSink
 from repro.errors import CampaignInterrupted, ConfigError
-from repro.exec.daemon import WarmPool
 from repro.exec.engine import CampaignExecutor, run_campaign_parallel
 from repro.exec.jobs import calibration_seed_sequence
 from repro.exec.worker import calibrate_facet
@@ -407,20 +406,13 @@ class TestColdWarmIdentity:
 
     def test_warm_pool_cold_then_warm(self, tmp_path):
         cache = str(tmp_path / "cc")
-        with WarmPool(2) as pool:
-            cold = run_campaign_parallel(
-                _machine(11),
-                _facet_config(calibration_cache=cache),
-                workers=2,
-                pool=pool,
-            )
-            assert last_run_stats()["installs"] == 2
-            warm = run_campaign_parallel(
-                _machine(11),
-                _facet_config(calibration_cache=cache),
-                workers=2,
-                pool=pool,
-            )
+        cold = run_campaign_parallel(
+            _machine(11), _facet_config(calibration_cache=cache), workers=2
+        )
+        assert last_run_stats()["installs"] == 2
+        warm = run_campaign_parallel(
+            _machine(11), _facet_config(calibration_cache=cache), workers=2
+        )
         assert last_run_stats()["hits"] == 2
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
         assert warm.wall_virtual_s == cold.wall_virtual_s
@@ -464,17 +456,8 @@ class TestParallelFacetCalibration:
         par = run_campaign(
             _machine(11), self._three_facet_config(), workers=3
         )
-        with WarmPool(2) as pool:
-            pooled = run_campaign_parallel(
-                _machine(11), self._three_facet_config(), workers=2, pool=pool
-            )
         assert _campaign_fingerprint(par) == _campaign_fingerprint(seq)
-        assert _campaign_fingerprint(pooled) == _campaign_fingerprint(seq)
-        assert (
-            par.wall_virtual_s
-            == seq.wall_virtual_s
-            == pooled.wall_virtual_s
-        )
+        assert par.wall_virtual_s == seq.wall_virtual_s
 
     def test_replica_calibration_is_a_pure_function(self):
         cfg = self._three_facet_config()

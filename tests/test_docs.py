@@ -4,8 +4,9 @@ Everything the CI ``docs`` job enforces also runs here, so a PR cannot
 break the docs build without breaking the test suite: the markdown
 tree builds, every relative link and anchor resolves, ``docs/cli.md``
 names every parser flag, the events ordering contract is word-for-word
-identical to the :mod:`repro.core.stream` docstring, and the service
-package keeps 100% public docstring coverage.
+identical to the :mod:`repro.core.stream` docstring, every module or
+``.py`` file a page names exists, and the service package keeps 100%
+public docstring coverage.
 """
 
 import importlib.util
@@ -88,6 +89,42 @@ class TestCliReference:
         cli_md = (DOCS / "cli.md").read_text().replace("--pass-block", "")
         errors = docbuild.check_cli_flags(cli_md)
         assert any("--pass-block" in error for error in errors)
+
+
+class TestModuleReferences:
+    def test_docs_name_only_existing_modules(self):
+        sources = sorted(DOCS.rglob("*.md")) + [REPO / "DESIGN.md"]
+        pages = {path: path.read_text() for path in sources}
+        assert docbuild.check_module_refs(pages) == []
+
+    def test_missing_module_is_caught(self):
+        page = DOCS / "planted.md"
+        errors = docbuild.check_module_refs(
+            {page: "Dispatch lives in `repro.exec.nosuchmodule`."}
+        )
+        assert len(errors) == 1
+        assert "repro.exec.nosuchmodule" in errors[0]
+
+    def test_missing_py_path_is_caught(self):
+        page = DOCS / "planted.md"
+        errors = docbuild.check_module_refs(
+            {page: "See `exec/engine.py` and `exec/nosuchfile.py`."}
+        )
+        assert len(errors) == 1
+        assert "exec/nosuchfile.py" in errors[0]
+
+    def test_existing_names_pass(self):
+        page = DOCS / "planted.md"
+        text = (
+            "`repro.exec.engine.CampaignExecutor`, repro.core.stream, "
+            "`tools/docbuild.py` and `src/repro/cli.py`."
+        )
+        assert docbuild.check_module_refs({page: text}) == []
+
+    def test_changelog_is_exempt(self):
+        page = DOCS / "changelog.md"
+        text = "PR 6 added `repro.exec.nosuchmodule` in `exec/nosuchfile.py`."
+        assert docbuild.check_module_refs({page: text}) == []
 
 
 class TestDocstringCoverage:

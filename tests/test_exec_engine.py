@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro import make_machine, run_campaign
+from repro.core.campaign import ProbeInfo
 from repro.errors import ConfigError
 from repro.exec import CampaignExecutor
-from repro.exec.jobs import pair_seed_sequence
+from repro.exec.jobs import ProbeCostModel, pair_seed_sequence
 from repro.machine import Machine
 from repro.simtime.clock import VirtualClock
 from repro.simtime.host import HostCpu
@@ -232,3 +233,41 @@ class TestSweepWorkers:
         assert len(a) == len(b) == 2
         for ra, rb in zip(a, b):
             assert _campaign_fingerprint(ra) == _campaign_fingerprint(rb)
+
+
+class TestBatchAwareCostModel:
+    def _probe(self, latencies):
+        return ProbeInfo(
+            max_latency_s=max(lat for *_, lat in latencies),
+            median_latency_s=sorted(lat for *_, lat in latencies)[
+                len(latencies) // 2
+            ],
+            pair_latencies=latencies,
+        )
+
+    def test_fixed_pass_term_is_additive(self):
+        probe = self._probe([(705.0, 1410.0, 0.004), (1410.0, 705.0, 0.006)])
+        bare = ProbeCostModel(probe)
+        offset = ProbeCostModel(probe, fixed_pass_s=0.5)
+        for pair in [(705.0, 1410.0), (1410.0, 705.0), (705.0, 900.0)]:
+            assert offset.cost(*pair) == pytest.approx(
+                bare.cost(*pair) + 0.5
+            )
+
+    def test_cross_facet_ordering_respects_fixed_pass(self):
+        """A slow locked-SM facet outranks a fast one whose probe
+        latencies are nominally larger — the multi-facet bugfix."""
+        fast_facet = ProbeCostModel(
+            self._probe([(1215.0, 810.0, 0.006)]), fixed_pass_s=0.01
+        )
+        slow_facet = ProbeCostModel(
+            self._probe([(1215.0, 810.0, 0.004)]), fixed_pass_s=0.09
+        )
+        assert slow_facet.cost(1215.0, 810.0) > fast_facet.cost(1215.0, 810.0)
+
+    def test_probe_latency_ordering_within_facet_unchanged(self):
+        probe = self._probe(
+            [(705.0, 1410.0, 0.004), (1410.0, 705.0, 0.006)]
+        )
+        model = ProbeCostModel(probe, fixed_pass_s=0.25)
+        assert model.cost(1410.0, 705.0) > model.cost(705.0, 1410.0)

@@ -4,11 +4,11 @@ Every execution tier emits the same typed event stream
 (:mod:`repro.core.stream`); these tests pin the contract the sinks rely
 on.  The headline property (a hypothesis sweep over campaign seeds, on
 all three measurement axes): the completion-order ``PairMeasured``
-events of the process-pool engine and the warm-pool batch tier,
-reordered by flat grid index, are element-identical to the serial
-loop's grid-order emission — identity fields against the serial stream
-(the serial timeline differs by design), full measurement payloads
-between the two pool tiers.
+events of the process-pool engine and the in-process engine, reordered
+by flat grid index, are element-identical to the serial loop's
+grid-order emission — identity fields against the serial stream (the
+serial timeline differs by design), full measurement payloads between
+the two engine runs.
 """
 
 from io import StringIO
@@ -36,7 +36,6 @@ from repro.core.stream import (
     StreamDispatcher,
 )
 from repro.errors import CampaignInterrupted, MeasurementError
-from repro.exec import WarmPool
 from repro.exec.engine import run_campaign_parallel
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint, _csv_bytes
@@ -53,12 +52,6 @@ def _axis_config(axis, **overrides):
     freqs = kw.pop("frequencies")
     kw.update(overrides)
     return fast_config(freqs, **kw)
-
-
-@pytest.fixture(scope="module")
-def warm_pool():
-    with WarmPool(2) as pool:
-        yield pool
 
 
 def _terminal_events(rec: RecordingSink):
@@ -86,7 +79,7 @@ def _identity(event):
 
 
 def _payload(event):
-    """Full measurement payload — engine and warm-pool must agree bit-for-bit."""
+    """Full measurement payload — engine runs must agree bit-for-bit."""
     pair = event.pair
     return _identity(event) + (
         event.elapsed_virtual_s,
@@ -104,9 +97,7 @@ class TestCompletionOrderReordering:
     @pytest.mark.parametrize("axis", sorted(_AXES))
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=2, deadline=None)
-    def test_reordered_events_match_serial_grid_order(
-        self, axis, warm_pool, seed
-    ):
+    def test_reordered_events_match_serial_grid_order(self, axis, seed):
         cfg = _axis_config(axis)
         serial_rec = RecordingSink()
         run_campaign(make_machine("A100", seed=seed), cfg, sinks=(serial_rec,))
@@ -117,12 +108,12 @@ class TestCompletionOrderReordering:
             workers=2,
             sinks=(engine_rec,),
         )
-        warm_rec = RecordingSink()
+        inproc_rec = RecordingSink()
         run_campaign_parallel(
             make_machine("A100", seed=seed),
-            _axis_config(axis, pair_batch_size=2),
-            pool=warm_pool,
-            sinks=(warm_rec,),
+            cfg,
+            workers=1,
+            sinks=(inproc_rec,),
         )
 
         serial_terminal = _terminal_events(serial_rec)
@@ -133,15 +124,15 @@ class TestCompletionOrderReordering:
         engine_sorted = sorted(
             _terminal_events(engine_rec), key=lambda event: event.index
         )
-        warm_sorted = sorted(
-            _terminal_events(warm_rec), key=lambda event: event.index
+        inproc_sorted = sorted(
+            _terminal_events(inproc_rec), key=lambda event: event.index
         )
         serial_ids = [_identity(event) for event in serial_terminal]
         assert [_identity(event) for event in engine_sorted] == serial_ids
-        assert [_identity(event) for event in warm_sorted] == serial_ids
-        # The two pool tiers agree on the full measurement payload.
+        assert [_identity(event) for event in inproc_sorted] == serial_ids
+        # Both engine runs agree on the full measurement payload.
         assert [_payload(event) for event in engine_sorted] == [
-            _payload(event) for event in warm_sorted
+            _payload(event) for event in inproc_sorted
         ]
 
 

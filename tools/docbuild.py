@@ -2,7 +2,7 @@
 """Build and verify the documentation tree — no external doc toolchain.
 
 The container has no mkdocs/sphinx, so this is the whole docs build:
-a small markdown → HTML renderer plus the three checks that keep the
+a small markdown → HTML renderer plus the four checks that keep the
 docs honest:
 
 1. **Link check** — every relative link and ``#anchor`` in ``docs/``
@@ -15,6 +15,11 @@ docs honest:
 3. **Events contract** — the "Ordering & determinism contract" bullets
    in ``docs/events.md`` are word-for-word identical to the
    :mod:`repro.core.stream` module docstring.
+4. **Module references** — every inline-code ``*.py`` path resolves to a
+   file under ``src/repro/``, ``src/`` or the repo root, and every dotted
+   ``repro.*`` name resolves to an importable module (or a name one
+   defines).  ``docs/changelog.md`` is exempt: it records history,
+   including modules that have since been deleted.
 
 Usage::
 
@@ -40,6 +45,7 @@ __all__ = [
     "check_cli_flags",
     "check_events_contract",
     "check_links",
+    "check_module_refs",
     "collect_anchors",
     "render_markdown",
     "main",
@@ -324,6 +330,67 @@ def check_events_contract(events_md: str) -> list[str]:
     return []
 
 
+#: pages whose module references are history, not claims about the tree
+_HISTORY_PAGES = ("changelog.md",)
+#: roots a backticked ``*.py`` path may be relative to
+_PY_ROOTS = (REPO / "src" / "repro", REPO / "src", REPO)
+
+
+def _code_spans(text: str):
+    """Inline code spans of a markdown page, fenced blocks excluded."""
+    in_code = False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_code = not in_code
+            continue
+        if in_code:
+            continue
+        for part in re.split(r"(``[^`]+``|`[^`]+`)", line):
+            if part.startswith("`"):
+                yield part.strip("`")
+
+
+def _dotted_name_error(name: str) -> "str | None":
+    """Why ``repro.a.b...`` does not resolve, or ``None`` when it does.
+
+    Walks the dotted parts importing submodules; the first part that is
+    neither a submodule nor a name defined by the module before it is the
+    error.  Parts after a non-module name (class attributes, fields) are
+    not checked.
+    """
+    import importlib
+
+    obj = importlib.import_module("repro")
+    for part in name.split(".")[1:]:
+        try:
+            obj = importlib.import_module(f"{obj.__name__}.{part}")
+            continue
+        except ModuleNotFoundError:
+            pass
+        if not hasattr(obj, part):
+            return f"`{name}`: {obj.__name__} has no module or name {part!r}"
+        return None
+    return None
+
+
+def check_module_refs(pages: "dict[Path, str]") -> list[str]:
+    """Docs naming ``*.py`` files or ``repro.*`` modules that do not exist."""
+    errors = []
+    for path, text in pages.items():
+        if path.name in _HISTORY_PAGES:
+            continue
+        for span in _code_spans(text):
+            for ref in re.findall(r"[\w./-]*\w\.py\b", span):
+                if not any((root / ref).is_file() for root in _PY_ROOTS):
+                    errors.append(f"{path}: names missing file `{ref}`")
+        names = set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text))
+        for name in sorted(names):
+            problem = _dotted_name_error(name)
+            if problem is not None:
+                errors.append(f"{path}: names missing module {problem}")
+    return errors
+
+
 # ----------------------------------------------------------------------
 def main(argv: "list[str] | None" = None) -> int:
     """Build the docs tree and run every check; 0 only when all pass."""
@@ -346,6 +413,7 @@ def main(argv: "list[str] | None" = None) -> int:
     errors = check_links(pages)
     errors += check_cli_flags(pages[DOCS / "cli.md"])
     errors += check_events_contract(pages[DOCS / "events.md"])
+    errors += check_module_refs(pages)
 
     if not options.check:
         out = Path(options.out)
@@ -371,7 +439,9 @@ def main(argv: "list[str] | None" = None) -> int:
     if errors:
         print(f"{len(errors)} docs error(s)", file=sys.stderr)
         return 1
-    print("docs checks passed (links, cli flags, events contract)")
+    print(
+        "docs checks passed (links, cli flags, events contract, module refs)"
+    )
     return 0
 
 
