@@ -10,7 +10,6 @@ recorded-SM count) are grouped separately.
 from __future__ import annotations
 
 import argparse
-import shlex
 import sys
 
 from repro.analysis.heatmap import heatmaps_by_memory
@@ -22,10 +21,10 @@ from repro.analysis.render import (
 from repro.analysis.summary import summarize_campaign
 from repro.core.campaign import run_campaign
 from repro.core.config import LatestConfig
-from repro.errors import CampaignInterrupted, JournalModeError, ReproError
+from repro.errors import CampaignInterrupted, ReproError
 from repro.machine import make_machine
 
-__all__ = ["build_parser", "engine_mode_command", "main"]
+__all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure frequency pairs across N worker processes via the "
         "execution engine (results are bit-identical for any N, including "
         "N=1); omit for the classic strictly-serial single-timeline loop "
-        "(default 1 process either way)",
+        "(default 1 process either way); --journal and "
+        "--calibration-cache run through the engine, so N defaults to 1 "
+        "when either is given",
     )
     parser.add_argument(
         "--pass-block",
@@ -153,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="record every completed pair to a durable journal in DIR as "
         "it lands; SIGINT/SIGTERM then stop the campaign gracefully "
-        "(drain in-flight pairs, flush) instead of losing it, and an "
-        "engine-mode run (--workers) can be continued with --resume",
+        "(drain in-flight pairs, flush) instead of losing it, and the run "
+        "can be continued with --resume; runs through the execution "
+        "engine, so --workers defaults to 1 when this is given",
     )
     fault.add_argument(
         "--resume",
@@ -163,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "DIR: the journal's config/seed fingerprint is validated, "
         "finished pairs are merged as recorded, and only the rest are "
         "measured — the final results (CSV bytes included) are "
-        "bit-identical to an uninterrupted run; requires --workers",
+        "bit-identical to an uninterrupted run",
     )
     fault.add_argument(
         "--max-job-retries",
@@ -251,35 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def engine_mode_command(argv: list[str], journal_dir: str) -> str:
-    """The engine-mode re-run command for an unresumable serial journal.
-
-    A serial-mode journal cannot be resumed (the serial loop shares one
-    timeline), so the campaign must be re-run through the execution
-    engine to become resumable: drop ``--resume``, keep any explicit
-    ``--workers`` (default 1 otherwise), and point ``--journal`` at a
-    fresh directory — a fresh open refuses the existing serial journal.
-    """
-    tokens: list[str] = []
-    have_workers = False
-    it = iter(argv)
-    for tok in it:
-        if tok == "--resume":
-            continue
-        if tok == "--journal":
-            next(it, None)
-            continue
-        if tok.startswith("--journal="):
-            continue
-        if tok == "--workers" or tok.startswith("--workers="):
-            have_workers = True
-        tokens.append(tok)
-    if not have_workers:
-        tokens += ["--workers", "1"]
-    tokens += ["--journal", f"{journal_dir}-engine"]
-    return "latest-bench " + " ".join(shlex.quote(tok) for tok in tokens)
-
-
 def parse_frequencies(
     text: str, minimum: int = 2, label: str = "frequency"
 ) -> tuple[float, ...]:
@@ -347,17 +320,14 @@ def main(argv: list[str] | None = None) -> int:
         else None
     )
 
-    if args.resume:
-        if args.journal is None:
-            raise SystemExit("--resume needs --journal DIR")
-        if args.workers is None:
-            # Resume is engine-only (the serial loop shares one timeline);
-            # route through the engine at its bit-identical default.
-            args.workers = 1
-    if args.calibration_cache is not None and args.workers is None:
-        # The calibration cache is engine-only for the same reason
-        # resume is: the serial loop cannot skip calibration
-        # bit-identically on one shared timeline.
+    if args.resume and args.journal is None:
+        raise SystemExit("--resume needs --journal DIR")
+    if args.workers is None and (
+        args.journal is not None or args.calibration_cache is not None
+    ):
+        # Journals, resume and the calibration cache are engine-only (the
+        # serial loop shares one timeline); route through the engine at
+        # its bit-identical default.
         args.workers = 1
 
     machine = make_machine(
@@ -411,26 +381,9 @@ def main(argv: list[str] | None = None) -> int:
             resume=args.resume,
             sinks=tuple(sinks),
         )
-    except JournalModeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.resume:
-            hint = engine_mode_command(
-                list(argv) if argv is not None else sys.argv[1:],
-                args.journal,
-            )
-            print(
-                f"the journal at {args.journal} was recorded by a "
-                f"{exc.recorded_mode!r}-mode run; {exc.recorded_mode} "
-                "journals cannot be resumed (one shared timeline). "
-                "Re-run the campaign through the execution engine so "
-                "future interruptions are resumable:",
-                file=sys.stderr,
-            )
-            print(f"  {hint}", file=sys.stderr)
-        return 1
     except CampaignInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
-        if exc.journal_dir is not None and args.workers is not None:
+        if exc.journal_dir is not None:
             print(
                 f"resume with: --journal {exc.journal_dir} --resume",
                 file=sys.stderr,

@@ -13,30 +13,19 @@ the calibration consumed — so a warm campaign skips straight to phase
 
 Key derivation
 --------------
-:func:`calibration_fingerprint` mirrors the
-:func:`~repro.core.journal.campaign_fingerprint` discipline: a sha256
-over the pickled (cache version, calibration-affecting config fields,
-machine blueprint, seed-namespace scheme, facet coordinate) tuple at a
-fixed pickle protocol.  Execution-only knobs — the journal's exclusion
-set plus the per-pair measurement knobs that phase 1 and the probe never
-read (stopping rule, per-pair window policy, per-pair resilience,
-outlier labelling) — are excluded, so worker-count changes, journal
-resumes, and phase-2/3 tuning all still hit.  The ``scheme`` component
-separates the two calibration timelines the engine uses (see
-:mod:`repro.exec.engine`): ``"driver"`` entries replay the single-facet
-driver-timeline calibration, ``"replica"`` entries the per-facet
-independent seed streams of multi-facet campaigns — the two can never
-satisfy each other.
-
-Eligibility
------------
-Cache validity assumes the campaign machine is freshly built from its
-blueprint (exactly what ``make_machine`` and the CLI produce) — the same
-assumption journal resume makes.  The engine therefore consults the
-cache only when the driver clock still sits at the blueprint's start
-time, and the serial loop is ineligible entirely: it shares one
-RNG/clock timeline across calibration and measurement, so a cached
-calibration cannot be skipped bit-identically
+Every engine campaign calibrates each facet on a blueprint replica
+(:func:`repro.exec.worker.calibrate_facet`), a pure function of
+``(blueprint, config, facet_index, facet, start_time)``.
+:func:`calibration_fingerprint` is the canonical content digest
+(:mod:`repro.core.fingerprint`) of exactly those inputs, minus the
+config fields phase 1 and the probe never read: the execution-only
+fields plus the per-pair measurement knobs (stopping rule, per-pair
+window policy, per-pair resilience, outlier labelling).  So worker-count
+changes, journal resumes and phase-2/3 tuning all still hit, and a
+reused machine mid-timeline simply keys under its later start time.
+The serial loop never consults the cache: it shares one RNG/clock
+timeline across calibration and measurement, so a cached calibration
+cannot be skipped bit-identically
 (:func:`~repro.core.campaign.run_campaign` raises a clear error).
 
 Durability
@@ -54,8 +43,6 @@ hits, misses, installs and corrupt entries for observability
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import os
 import pickle
 import tempfile
@@ -64,7 +51,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.journal import _FINGERPRINT_EXCLUDED, _FRAME
+from repro.core.fingerprint import (
+    EXECUTION_ONLY_FIELDS,
+    config_fields,
+    content_digest,
+)
+from repro.core.journal import _FRAME
 
 __all__ = [
     "CALIB_CACHE_VERSION",
@@ -75,19 +67,19 @@ __all__ = [
     "record_run_stats",
 ]
 
-#: cache entry format version (bump on incompatible entry changes)
-CALIB_CACHE_VERSION = 1
+#: cache entry format version (bump on incompatible entry or key changes;
+#: 2 = replica-only calibration keyed by its start time)
+CALIB_CACHE_VERSION = 2
 
 #: config fields that cannot affect the phase-1 characterization, the
 #: probe window-sizing stage, or the fixed per-pass duration: the
-#: journal's execution-only exclusions plus the knobs only the per-pair
-#: phase-2/3 measurement loop reads.  Everything else — frequencies,
-#: axis, facet coordinates, workload sizing, the detection criterion the
-#: probe evaluates switches with, settle and timer-sync parameters —
-#: stays in the key.
-_CALIBRATION_EXCLUDED = _FINGERPRINT_EXCLUDED | frozenset(
+#: execution-only fields plus the knobs only the per-pair phase-2/3
+#: measurement loop reads.  Everything else — frequencies, axis, facet
+#: coordinates, workload sizing, the detection criterion the probe
+#: evaluates switches with, settle and timer-sync parameters — stays in
+#: the key.
+_CALIBRATION_EXCLUDED = EXECUTION_ONLY_FIELDS | frozenset(
     {
-        "calibration_cache",
         # per-pair RSE stopping rule (phase 2/3 only)
         "rse_threshold",
         "min_measurements",
@@ -132,68 +124,28 @@ class FacetCalibration:
     elapsed_virtual_s: float
 
 
-def _canonical(value):
-    """Identity-insensitive canonical form of a fingerprint input.
-
-    Hashing a raw pickle would leak object-graph *identity* into the
-    digest: pickle memoizes shared objects, and the GPU spec carries
-    lazily populated lookup memos whose sharing topology changes once a
-    campaign has run — equal values, different bytes.  Dataclasses
-    reduce to their declared fields only (never ``__dict__``), and
-    leaves reduce to ``repr`` (exact for floats), so two structurally
-    equal inputs always canonicalize identically.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (
-            type(value).__name__,
-            tuple(
-                (f.name, _canonical(getattr(value, f.name)))
-                for f in dataclasses.fields(value)
-            ),
-        )
-    if isinstance(value, (tuple, list)):
-        return ("seq", tuple(_canonical(v) for v in value))
-    if isinstance(value, dict):
-        return (
-            "map",
-            tuple(
-                sorted((repr(k), _canonical(v)) for k, v in value.items())
-            ),
-        )
-    return repr(value)
-
-
 def calibration_fingerprint(
     config,
     blueprint,
     facet_index: int,
     facet: float | None,
-    scheme: str,
+    start_time: float,
 ) -> str:
     """Content digest identifying one facet's calibration inputs.
 
     Two calibrations share a fingerprint iff they are guaranteed to
     produce a bit-identical :class:`FacetCalibration`: same
     calibration-affecting config fields, same machine blueprint, same
-    seed-namespace ``scheme`` (``"driver"`` or ``"replica"``), same
-    facet position and coordinate.
+    facet position and coordinate, same calibration start time.
     """
-    items = tuple(
-        (f.name, getattr(config, f.name))
-        for f in dataclasses.fields(config)
-        if f.name not in _CALIBRATION_EXCLUDED
+    return content_digest(
+        CALIB_CACHE_VERSION,
+        config_fields(config, _CALIBRATION_EXCLUDED),
+        blueprint,
+        int(facet_index),
+        None if facet is None else float(facet),
+        float(start_time),
     )
-    blob = repr(
-        (
-            CALIB_CACHE_VERSION,
-            _canonical(items),
-            _canonical(blueprint),
-            str(scheme),
-            int(facet_index),
-            None if facet is None else float(facet),
-        )
-    ).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 class CalibrationCache:

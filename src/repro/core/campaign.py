@@ -46,7 +46,7 @@ from repro.core.stream import (
     PairSkipped,
     StreamDispatcher,
 )
-from repro.errors import CampaignInterrupted, ConfigError, MeasurementError
+from repro.errors import ConfigError, MeasurementError
 from repro.gpusim.thermal import ThrottleReasons
 from repro.machine import Machine
 
@@ -111,7 +111,7 @@ class LatestBenchmark:
         self.machine = machine
 
     # ------------------------------------------------------------------
-    def run(self, journal=None, guard=None, sinks=()) -> CampaignResult:
+    def run(self, sinks=()) -> CampaignResult:
         """Execute the full campaign and (optionally) write CSV output.
 
         Legacy campaigns (``memory_frequencies`` unset) run exactly the
@@ -127,16 +127,6 @@ class LatestBenchmark:
         once per locked SM clock — the transpose of the core×memory grid,
         through the same per-facet machinery.
 
-        ``journal`` (a :class:`~repro.core.journal.CampaignJournal`)
-        records each measured pair as it lands — a durable partial record
-        under the engine's flat grid indexing, though a *serial* journal
-        cannot be resumed bit-identically (pairs share one RNG/clock
-        timeline; see the journal module docs).  ``guard`` (a
-        :class:`~repro.core.journal.ShutdownGuard`) turns SIGINT/SIGTERM
-        into a clean stop between pairs: the journal is already flushed
-        per append, and :class:`~repro.errors.CampaignInterrupted` is
-        raised instead of losing the run to a KeyboardInterrupt mid-pass.
-
         ``sinks`` are extra :class:`~repro.core.stream.CampaignSink`
         consumers attached to the campaign event stream
         (:mod:`repro.core.stream`); the serial loop emits every event in
@@ -145,21 +135,14 @@ class LatestBenchmark:
         (:class:`~repro.core.results.ResultAccumulator`) — there is no
         separate batch result path.
         """
-        from repro.core.journal import JournalSink
-
         t_begin = self.machine.clock.now
         axis = self.bench.axis
         facet_plan = self.config.facet_plan()
         grid = self.config.memory_frequencies is not None
         sm_facets = self.config.locked_sm_plan()
         n_pairs = len(self.config.pairs())
-        measured = 0
         accumulator = ResultAccumulator()
-        dispatch = StreamDispatcher(
-            accumulator,
-            JournalSink(journal) if journal is not None else None,
-            *sinks,
-        )
+        dispatch = StreamDispatcher(accumulator, *sinks)
         dispatch.emit(
             CampaignStarted(
                 gpu_name=self.bench.device.spec.name,
@@ -225,33 +208,14 @@ class LatestBenchmark:
                         )
                     )
                     continue
-                if guard is not None and guard.requested:
-                    dispatch.interrupt()
-                    raise CampaignInterrupted(
-                        f"serial campaign interrupted after {measured} "
-                        "measured pairs"
-                        + (
-                            "; the journal holds every finished pair (a "
-                            "durable record — serial campaigns cannot be "
-                            "resumed, see the journal docs)"
-                            if journal is not None
-                            else ""
-                        ),
-                        journal_dir=(
-                            None
-                            if journal is None
-                            else str(journal.directory)
-                        ),
-                    )
                 t_pair = self.machine.clock.now
                 pair = self.measure_pair(sm_key[0], sm_key[1], phase1, probe)
                 pair.memory_mhz = facet if grid else None
                 if not grid and facet is not None:
                     pair.locked_sm_mhz = float(facet)
-                measured += 1
                 # The flat facet-major index the engine also uses, so the
-                # event (and any journaled record of it) identifies the
-                # grid point unambiguously across execution tiers.
+                # event identifies the grid point unambiguously across
+                # execution tiers.
                 dispatch.emit(
                     PairMeasured(
                         index=index,
@@ -541,49 +505,35 @@ def run_campaign(
     ``journal`` names a directory for a durable
     :class:`~repro.core.journal.CampaignJournal`; every completed pair is
     recorded as it lands and SIGINT/SIGTERM become a graceful, resumable
-    stop.  ``resume=True`` continues an interrupted *engine-mode*
-    campaign bit-identically — the serial loop's pairs share one
-    RNG/clock timeline, so a serial journal is a durable record but
-    cannot be resumed (a clear error says so).
+    stop.  ``resume=True`` continues an interrupted campaign
+    bit-identically.  Journals, resume and ``config.calibration_cache``
+    are engine-only: the serial loop shares one RNG/clock timeline across
+    calibration and pairs, so it can neither skip a journaled pair nor a
+    cached calibration bit-identically (a clear error says so).
 
     ``sinks`` attaches extra consumers to the campaign event stream
     (:mod:`repro.core.stream`) on either path — progress reporting,
     incremental CSV output, service feeds.
     """
     if workers is None:
-        if resume:
-            raise ConfigError(
-                "resume requires the execution engine (workers >= 1): "
-                "serial campaigns share one RNG/clock timeline across "
-                "pairs, so journaled pairs cannot be skipped bit-"
-                "identically"
+        engine_only = [
+            name
+            for name, requested in (
+                ("journal", journal is not None),
+                ("resume", resume),
+                ("calibration_cache", config.calibration_cache is not None),
             )
-        if config.calibration_cache is not None:
+            if requested
+        ]
+        if engine_only:
             raise ConfigError(
-                "calibration_cache requires the execution engine "
+                f"{', '.join(engine_only)} requires the execution engine "
                 "(workers >= 1): the serial loop shares one RNG/clock "
-                "timeline across calibration and measurement, so a "
-                "skipped calibration cannot be replayed bit-identically"
+                "timeline across calibration and pairs, so journaled "
+                "pairs and cached calibrations cannot be skipped "
+                "bit-identically"
             )
-        if journal is None:
-            return LatestBenchmark(machine, config).run(sinks=sinks)
-        from repro.core.journal import (
-            CampaignJournal,
-            ShutdownGuard,
-            campaign_fingerprint,
-            campaign_synopsis,
-        )
-
-        fingerprint = campaign_fingerprint(config, machine.blueprint)
-        with CampaignJournal.open(
-            journal,
-            fingerprint,
-            mode="serial",
-            synopsis=campaign_synopsis(config, machine.blueprint),
-        ) as journal_obj, ShutdownGuard() as guard:
-            return LatestBenchmark(machine, config).run(
-                journal=journal_obj, guard=guard, sinks=sinks
-            )
+        return LatestBenchmark(machine, config).run(sinks=sinks)
     from repro.exec.engine import run_campaign_parallel
 
     return run_campaign_parallel(

@@ -3,10 +3,12 @@
 Long campaigns (thousand-pair core×memory grids, soak sweeps) must not
 lose every measured :class:`~repro.core.results.PairResult` to one worker
 crash or Ctrl-C.  This module is the durability substrate underneath
-:mod:`repro.exec.engine` and the serial loop: an **append-only on-disk
-ledger** that records each completed pair result the moment it lands on
-the driver, keyed by a **campaign fingerprint** so a resumed run can
-prove it continues *the same* campaign.
+:mod:`repro.exec.engine`: an **append-only on-disk ledger** that records
+each completed pair result the moment it lands on the driver, keyed by a
+**campaign fingerprint** so a resumed run can prove it continues *the
+same* campaign.  Journals are engine-only: the serial single-timeline
+loop shares one clock/RNG stream across pairs, so it could never skip a
+journaled pair bit-identically.
 
 Why resume preserves bit-identity
 ---------------------------------
@@ -16,24 +18,18 @@ index (:func:`repro.exec.jobs.pair_seed_sequence`) — never from execution
 order, worker count, or wall-clock time.  A journaled pair result is
 therefore *the* result that pair can ever have under its fingerprint;
 skipping it on resume and merging the stored record is indistinguishable
-from re-measuring it.  Phase 1 and the probe stage re-run deterministically
-on the resumed driver machine (same draws, same virtual-clock advance), so
-the reconstructed :class:`~repro.core.results.CampaignResult` — CSV bytes
-and ``wall_virtual_s`` included — equals an uninterrupted run's.
-
-The serial single-timeline loop (``workers=None``) *records* into a
-journal just as durably, but cannot be resumed bit-identically: its pairs
-share one clock/RNG stream, so the machine state needed to continue pair
-k+1 exists only in the process that measured pair k.  Resume therefore
-requires the engine execution model; a serial-mode journal is a durable
-partial record, and resuming it raises a clear error.
+from re-measuring it.  Each facet's calibration is a pure function of
+the blueprint, config, facet and start time
+(:func:`repro.exec.worker.calibrate_facet`), so it re-runs identically on
+resume and the reconstructed :class:`~repro.core.results.CampaignResult`
+— CSV bytes and ``wall_virtual_s`` included — equals an uninterrupted
+run's.
 
 On-disk format
 --------------
 ``<dir>/meta.json``
     Written once at journal creation: format version, the campaign
-    fingerprint, the execution mode (``"engine"`` / ``"serial"``) and a
-    human-readable campaign synopsis.
+    fingerprint and a human-readable campaign synopsis.
 ``<dir>/pairs.log``
     Append-only framed records.  Each frame is an 8-byte header
     (``<II``: payload length, CRC32) followed by a pickled
@@ -42,19 +38,16 @@ On-disk format
     at most the in-flight pairs; a torn tail frame (crash mid-write) is
     detected by length/CRC and ignored on load.
 
-The fingerprint covers every result-affecting configuration field plus
-the machine blueprint (architecture, seed, hostname, thermal setup, ...).
-Fields that provably cannot change results are excluded so a resume may
-legitimately vary them: ``output_dir``, fault injection, the supervision
-knobs (timeouts/retries/backoff), and the ``pass_block_size`` batching
-width — the executor's bit-identity contract guarantees those only
-change scheduling, never measurements.
+The fingerprint is a canonical content digest
+(:mod:`repro.core.fingerprint`) of every result-affecting configuration
+field plus the machine blueprint (architecture, seed, hostname, thermal
+setup, ...).  The execution-only fields
+(:data:`~repro.core.fingerprint.EXECUTION_ONLY_FIELDS`) are excluded so
+a resume may legitimately vary them.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import pickle
@@ -65,7 +58,12 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import ConfigError, JournalModeError, MeasurementError
+from repro.core.fingerprint import (
+    EXECUTION_ONLY_FIELDS,
+    config_fields,
+    content_digest,
+)
+from repro.errors import ConfigError, MeasurementError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import LatestConfig
@@ -78,31 +76,15 @@ __all__ = [
     "ShutdownGuard",
     "campaign_fingerprint",
     "campaign_synopsis",
-    "read_journal_mode",
     "replay_events",
 ]
 
-#: journal format version (bump on incompatible layout changes)
-JOURNAL_VERSION = 1
+#: journal format version (bump on incompatible layout or key changes;
+#: 2 = canonical fingerprint, every engine campaign calibrates on replicas)
+JOURNAL_VERSION = 2
 
 #: frame header: payload length, CRC32 of the payload
 _FRAME = struct.Struct("<II")
-
-#: config fields excluded from the fingerprint — documented in the module
-#: docstring; every one is execution-only and cannot change measurements
-_FINGERPRINT_EXCLUDED = frozenset(
-    {
-        "output_dir",
-        "inject_faults",
-        "job_timeout_factor",
-        "job_timeout_floor_s",
-        "max_job_retries",
-        "retry_backoff_s",
-        "retry_backoff_max_s",
-        "pass_block_size",
-        "calibration_cache",
-    }
-)
 
 
 def campaign_fingerprint(
@@ -119,22 +101,11 @@ def campaign_fingerprint(
             "campaign journaling needs a machine built by make_machine() "
             "(hand-assembled machines carry no replication blueprint)"
         )
-    items = tuple(
-        (f.name, getattr(config, f.name))
-        for f in dataclasses.fields(config)
-        if f.name not in _FINGERPRINT_EXCLUDED
+    return content_digest(
+        JOURNAL_VERSION,
+        config_fields(config, EXECUTION_ONLY_FIELDS),
+        blueprint,
     )
-    # Multi-facet engine campaigns calibrate each facet on an independent
-    # replica seed stream (the replica scheme, PR 9) rather than the
-    # shared driver timeline, which moved their result space; the scheme
-    # revision keys the fingerprint so a journal recorded under the old
-    # timeline can never resume into mixed-epoch results.
-    facet_scheme = 1 if config.facet_plan() == (None,) else 2
-    # Fixed protocol so the digest is stable across interpreter versions.
-    blob = pickle.dumps(
-        (JOURNAL_VERSION, facet_scheme, items, blueprint), protocol=4
-    )
-    return hashlib.sha256(blob).hexdigest()
 
 
 def campaign_synopsis(
@@ -168,12 +139,10 @@ class CampaignJournal:
         self,
         directory: Path,
         fingerprint: str,
-        mode: str,
         meta: dict,
     ) -> None:
         self.directory = directory
         self.fingerprint = fingerprint
-        self.mode = mode
         self.meta = meta
         self._fh = (directory / "pairs.log").open("ab")
         #: torn/corrupt tail frames detected by the last :meth:`load`
@@ -185,7 +154,6 @@ class CampaignJournal:
         cls,
         directory: "str | Path",
         fingerprint: str,
-        mode: str,
         resume: bool = False,
         synopsis: "dict | None" = None,
     ) -> "CampaignJournal":
@@ -193,13 +161,10 @@ class CampaignJournal:
 
         A fresh open refuses a directory that already holds a journal
         (silently mixing two campaigns' records would corrupt both); a
-        resume open refuses a missing journal, a fingerprint mismatch
-        (the config or machine changed — the stored results provably
-        belong to a different campaign) and a serial-mode journal being
-        resumed through the engine.
+        resume open refuses a missing journal, a format-version mismatch
+        and a fingerprint mismatch (the config or machine changed — the
+        stored results provably belong to a different campaign).
         """
-        if mode not in ("engine", "serial"):
-            raise ConfigError(f"unknown journal mode {mode!r}")
         directory = Path(directory)
         meta_path = directory / "meta.json"
         if meta_path.exists():
@@ -229,16 +194,7 @@ class CampaignJournal:
                     f"{fingerprint[:12]}…); resume needs the identical "
                     "configuration and machine"
                 )
-            if meta.get("mode") != mode:
-                raise JournalModeError(
-                    f"journal at {directory} was written by a "
-                    f"{meta.get('mode')}-mode campaign and cannot be "
-                    f"resumed in {mode} mode (the serial loop shares one "
-                    "RNG/clock timeline across pairs, so only engine-mode "
-                    "journals resume bit-identically)",
-                    recorded_mode=str(meta.get("mode")),
-                )
-            return cls(directory, fingerprint, mode, meta)
+            return cls(directory, fingerprint, meta)
         if resume:
             raise ConfigError(
                 f"cannot resume: no journal at {directory} "
@@ -248,7 +204,6 @@ class CampaignJournal:
         meta = {
             "version": JOURNAL_VERSION,
             "fingerprint": fingerprint,
-            "mode": mode,
             "synopsis": synopsis or {},
         }
         # Atomic metadata write: a crash here leaves either no journal or
@@ -256,7 +211,7 @@ class CampaignJournal:
         tmp = meta_path.with_name(meta_path.name + ".tmp")
         tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, meta_path)
-        return cls(directory, fingerprint, mode, meta)
+        return cls(directory, fingerprint, meta)
 
     # ------------------------------------------------------------------
     def append(
@@ -320,21 +275,6 @@ class CampaignJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def read_journal_mode(directory: "str | Path") -> "str | None":
-    """The execution mode recorded in a journal's metadata, if readable.
-
-    Diagnostic helper (no validation): returns ``None`` when the
-    directory holds no parseable journal metadata.
-    """
-    meta_path = Path(directory) / "meta.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    mode = meta.get("mode")
-    return str(mode) if mode is not None else None
 
 
 class JournalSink:

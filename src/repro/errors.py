@@ -45,20 +45,6 @@ class PairSkippedError(MeasurementError):
     """A frequency pair was skipped (indistinguishable or power-throttled)."""
 
 
-class JournalModeError(MeasurementError):
-    """A journal was opened under the wrong execution mode.
-
-    Carries ``recorded_mode`` (the mode stamped into the journal's
-    ``meta.json`` when it was created) so callers — the CLI in
-    particular — can tell the user exactly which execution mode the
-    journal requires and how to invoke it.
-    """
-
-    def __init__(self, message: str, recorded_mode: str) -> None:
-        self.recorded_mode = recorded_mode
-        super().__init__(message)
-
-
 class ConfigError(ReproError):
     """Invalid benchmark or simulator configuration."""
 

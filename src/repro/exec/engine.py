@@ -2,13 +2,10 @@
 
 Execution model
 ---------------
-Single-facet campaigns calibrate (phase 1 + probe) on the driver's
-machine with exactly the same draws as the legacy serial loop — the
-*driver* calibration scheme, inherently sequential (workload growth
-feeds back into the kernel) and cheap.  Multi-facet campaigns
-(core×memory grids, locked-SM facet sweeps) use the *replica* scheme:
-each facet is calibrated on an independent replica machine rebuilt from
-the blueprint with the facet's own
+Every facet of a campaign (the single implicit facet, each memory clock
+of a core×memory grid, each locked SM clock of a facet sweep) is
+calibrated — phase 1 + probe — on an independent replica machine
+rebuilt from the blueprint with the facet's own
 :func:`~repro.exec.jobs.calibration_seed_sequence` stream, making every
 facet calibration a pure function of ``(blueprint, config, facet_index,
 facet, start_time)`` — so cold campaigns dispatch them *in parallel*
@@ -49,8 +46,10 @@ submission order; scheduling only changes wall-clock time.
 
 ``workers == 1`` executes the jobs in-process (no pool, no pickling) but
 through the same job pipeline, so it reproduces ``workers == N`` exactly.
-The legacy single-timeline semantics remain available through
-``run_campaign(machine, config)`` with ``workers=None``.
+The serial single-timeline reference loop remains available through
+``run_campaign(machine, config)`` with ``workers=None``; it shares one
+clock/RNG stream across calibration and pairs, so journals, resume and
+the calibration cache are engine-only.
 
 Process pools use the ``fork`` start method where available (Linux) so
 workers inherit the loaded modules; ``spawn`` elsewhere.
@@ -98,7 +97,10 @@ from repro.core.journal import (
     campaign_fingerprint,
     replay_events,
 )
-from repro.core.phase1 import run_phase1
+# Unused here since calibration moved to calibrate_facet; kept importable
+# as an engine attribute because the perfbench tracer and the warm-cache
+# tests patch it by name.
+from repro.core.phase1 import run_phase1  # noqa: F401
 from repro.core.config import LatestConfig
 from repro.core.csvio import write_campaign_csvs
 from repro.core.results import CampaignResult, PairResult, ResultAccumulator
@@ -313,61 +315,10 @@ class CampaignExecutor:
                 )
         return jobs, skips
 
-    def _calibrate_on_driver(
-        self, bench_driver, facet_index: int, facet
-    ) -> FacetCalibration:
-        """Driver-scheme calibration: same machine, same draws as serial.
-
-        Single-facet campaigns calibrate on the campaign machine itself so
-        the driver's clock and RNG advance exactly as in the legacy serial
-        loop (the pinned golden hashes depend on it).  The operation order
-        — facet clock, phase 1, probe, fixed-pass evaluation — matches
-        :func:`repro.exec.worker.calibrate_facet` so both schemes produce
-        the same :class:`~repro.core.calibcache.FacetCalibration` shape.
-        """
-        machine, config = self.machine, self.config
-        bench = bench_driver.bench
-        t0 = machine.clock.now
-        if not bench.prepare_facet_clock(facet):
-            return FacetCalibration(
-                facet_index=facet_index,
-                facet=facet,
-                prepared=False,
-                phase1=None,
-                probe=None,
-                fixed_pass_s=0.0,
-                elapsed_virtual_s=machine.clock.now - t0,
-            )
-        phase1 = run_phase1(bench)
-        probe = (
-            bench_driver._probe_windows(phase1)
-            if phase1.valid_pairs
-            else None
-        )
-        # Fixed per-pass duration at this facet (delay + confirmation
-        # iterations at the facet's own iteration time): the additive
-        # term the dispatch cost model needs to rank jobs *across*
-        # facets.  Evaluated here because iteration_duration_s reads
-        # the locked facet clock, which is prepared right now.
-        fixed_pass_s = (
-            config.delay_iterations + config.confirm_iterations
-        ) * bench.axis.iteration_duration_s(
-            bench, phase1.kernel, max(config.frequencies)
-        )
-        return FacetCalibration(
-            facet_index=facet_index,
-            facet=facet,
-            prepared=True,
-            phase1=phase1,
-            probe=probe,
-            fixed_pass_s=fixed_pass_s,
-            elapsed_virtual_s=machine.clock.now - t0,
-        )
-
     def _run_facet_calibrations(
         self, todo: list, t_begin: float
     ) -> list[FacetCalibration]:
-        """Run replica-scheme calibrations, in parallel when possible.
+        """Run replica calibrations, in parallel when possible.
 
         Each entry of ``todo`` is ``(facet_index, facet)``.  Because every
         replica calibration is a pure function of its arguments, the two
@@ -390,32 +341,29 @@ class CampaignExecutor:
             return list(pool.map(worker_calibrate, args))
 
     def _calibrate_facets(
-        self, bench_driver, dispatch: StreamDispatcher, fresh: bool
+        self, dispatch: StreamDispatcher
     ) -> tuple[dict, dict]:
         """Calibrate every facet and emit its ``FacetPrepared`` event.
 
-        Two schemes (see the module docs): single-facet campaigns
-        calibrate on the driver machine (``"driver"``), multi-facet
-        campaigns on per-facet replica machines (``"replica"``) — the
-        latter in parallel when workers allow.  When the config names a
-        calibration cache and the machine sits at its blueprint start
-        time (a fresh build, not a reused machine mid-timeline), each
-        facet's calibration is first looked up by its content fingerprint
-        and, on a miss, installed after measuring; on a hit the driver
-        clock replays the recorded calibration time, so the campaign
-        epoch — and every result byte — matches the cold run exactly.
-        ``fresh`` is that start-of-timeline eligibility, decided by the
-        caller *before* driver-bench construction (which itself advances
-        the clock deterministically).
+        Each facet calibrates on its own replica machine (see the module
+        docs), in parallel when workers allow.  When the config names a
+        calibration cache, each facet's calibration is first looked up
+        by its content fingerprint — which includes the calibration start
+        time, so a reused machine mid-timeline simply keys differently —
+        and, on a miss, installed after measuring.  The driver clock then
+        advances by every facet's recorded calibration time in facet
+        order, so the campaign epoch — and every result byte — is the
+        same whether the calibrations ran sequentially, in parallel, or
+        came from the cache.
 
         Returns ``(phase1_by_facet, probe_by_facet)`` and fills
         ``self._fixed_pass_by_facet`` for the dispatch cost model.
         """
         machine, config = self.machine, self.config
         facet_plan = config.facet_plan()
-        scheme = "driver" if facet_plan == (None,) else "replica"
+        t_begin = machine.clock.now
         cache = None
-        if config.calibration_cache is not None and fresh:
+        if config.calibration_cache is not None:
             cache = CalibrationCache(config.calibration_cache)
         keys: dict[int, str] = {}
         calibrations: dict[int, FacetCalibration] = {}
@@ -423,48 +371,23 @@ class CampaignExecutor:
         if cache is not None:
             for facet_index, facet in enumerate(facet_plan):
                 keys[facet_index] = calibration_fingerprint(
-                    config, machine.blueprint, facet_index, facet, scheme
+                    config, machine.blueprint, facet_index, facet, t_begin
                 )
                 entry = cache.get(keys[facet_index])
                 if entry is not None:
                     calibrations[facet_index] = entry
                     hits.add(facet_index)
-        if scheme == "driver":
-            cal = calibrations.get(0)
-            if cal is not None:
-                # Warm run: the cached calibration consumed exactly this
-                # much virtual time on the cold run.  The driver RNG is
-                # not drawn from after calibration in engine mode, so
-                # replaying the clock advance alone reproduces the
-                # campaign epoch — and with it every pair seed stream —
-                # bit-identically.
-                machine.clock.advance(cal.elapsed_virtual_s)
-            else:
-                cal = self._calibrate_on_driver(
-                    bench_driver, 0, facet_plan[0]
-                )
-                calibrations[0] = cal
-                if cache is not None:
-                    cache.install(keys[0], cal)
-        else:
-            t_begin = machine.clock.now
-            todo = [
-                (i, facet)
-                for i, facet in enumerate(facet_plan)
-                if i not in calibrations
-            ]
-            for cal in self._run_facet_calibrations(todo, t_begin):
-                calibrations[cal.facet_index] = cal
-                if cache is not None:
-                    cache.install(keys[cal.facet_index], cal)
-            # Replica-scheme epoch: the driver clock advances by every
-            # facet's calibration time in facet order — the same total
-            # whether the calibrations ran sequentially, in parallel, or
-            # came from the cache.
-            for facet_index in range(len(facet_plan)):
-                machine.clock.advance(
-                    calibrations[facet_index].elapsed_virtual_s
-                )
+        todo = [
+            (i, facet)
+            for i, facet in enumerate(facet_plan)
+            if i not in calibrations
+        ]
+        for cal in self._run_facet_calibrations(todo, t_begin):
+            calibrations[cal.facet_index] = cal
+            if cache is not None:
+                cache.install(keys[cal.facet_index], cal)
+        for facet_index in range(len(facet_plan)):
+            machine.clock.advance(calibrations[facet_index].elapsed_virtual_s)
         if cache is not None:
             record_run_stats(cache.stats)
             self.calibration_cache_stats = dict(cache.stats)
@@ -571,7 +494,6 @@ class CampaignExecutor:
             journal = CampaignJournal.open(
                 self.journal_dir,
                 fingerprint,
-                mode="engine",
                 resume=self.resume,
                 synopsis=campaign_synopsis(config, machine.blueprint),
             )
@@ -617,20 +539,7 @@ class CampaignExecutor:
             )
         )
 
-        # Calibration (phase 1 + probe, per facet): the driver scheme for
-        # single-facet campaigns (same machine, same draws as the legacy
-        # serial loop), the replica scheme — parallelizable, cacheable —
-        # for multi-facet campaigns.  See _calibrate_facets.
-        # Cache eligibility is decided against the pre-bench clock: a
-        # machine sitting at its blueprint start time is a fresh build
-        # whose whole timeline is a pure function of (blueprint, config);
-        # a reused machine mid-timeline (device sweeps) is not, so it
-        # calibrates live.
-        phase1_by_facet, probe_by_facet = self._calibrate_facets(
-            bench_driver,
-            dispatch,
-            fresh=(t_begin == machine.blueprint.start_time),
-        )
+        phase1_by_facet, probe_by_facet = self._calibrate_facets(dispatch)
         first = facet_plan[0]
         single_facet = facet_plan == (None,)
         payload = CampaignPayload(

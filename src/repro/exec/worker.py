@@ -93,11 +93,11 @@ def calibrate_facet(
 ) -> FacetCalibration:
     """Run one facet's calibration on an independent replica machine.
 
-    The replica calibration scheme of multi-facet engine campaigns: the
-    machine is rebuilt from the blueprint with the facet's own
+    How every engine campaign calibrates each facet: the machine is
+    rebuilt from the blueprint with the facet's own
     :func:`~repro.exec.jobs.calibration_seed_sequence` stream, booted at
     the campaign's start time, and runs facet-clock preparation, phase 1
-    and the probe exactly as the driver would — a pure function of
+    and the probe — a pure function of
     ``(blueprint, config, facet_index, facet, start_time)``, so parallel
     dispatch, sequential execution, and cache replay are all
     bit-identical.  The fixed per-pass duration for the dispatch cost
@@ -124,6 +124,11 @@ def calibrate_facet(
         )
     phase1 = run_phase1(bench)
     probe = driver._probe_windows(phase1) if phase1.valid_pairs else None
+    # Fixed per-pass duration at this facet (delay + confirmation
+    # iterations at the facet's own iteration time): the additive term
+    # the dispatch cost model needs to rank jobs *across* facets.
+    # Evaluated here because iteration_duration_s reads the locked facet
+    # clock, which is prepared right now.
     fixed_pass_s = (
         config.delay_iterations + config.confirm_iterations
     ) * bench.axis.iteration_duration_s(

@@ -11,9 +11,9 @@ Stages are anchored on well-known functions (cumulative time, matched on
 ===========  =========================================================
 stage        anchor(s)
 ===========  =========================================================
-calibration  ``calibrate_facet`` + ``_calibrate_on_driver``
-             (whole per-facet calibrations: facet clock, phase 1,
-             probe — the stage the calibration cache eliminates)
+calibration  ``calibrate_facet`` (whole per-facet calibrations:
+             facet clock, phase 1, probe — the stage the calibration
+             cache eliminates)
 phase1       ``run_phase1`` (characterization sweeps, per facet)
 probe        ``_probe_windows`` (window-sizing probe passes)
 batch-step   ``measure_pair_blocked`` (per-pair pass-block loops)
@@ -35,10 +35,7 @@ __all__ = ["STAGE_ANCHORS", "render_stage_breakdown", "stage_times"]
 
 #: stage name -> (file basename, function name) anchors, cumtimes summed
 STAGE_ANCHORS: dict[str, tuple[tuple[str, str], ...]] = {
-    "calibration": (
-        ("worker.py", "calibrate_facet"),
-        ("engine.py", "_calibrate_on_driver"),
-    ),
+    "calibration": (("worker.py", "calibrate_facet"),),
     "phase1": (("phase1.py", "run_phase1"),),
     "probe": (("campaign.py", "_probe_windows"),),
     "batch-step": (("passblock.py", "measure_pair_blocked"),),

@@ -12,9 +12,11 @@ campaign after a crash from nothing but the journal directory.
 
 Determinism note: JSON has no tuple type, so sequence-valued config
 fields arrive back as lists.  :meth:`build_config` normalizes every
-sequence to a tuple before constructing the config — the campaign
-fingerprint pickles the config, so a list-valued field would silently
-change the fingerprint and break resume validation.
+sequence to a tuple before constructing the config, so a resumed
+campaign runs on exactly the config the original request built.  The
+campaign fingerprint (:mod:`repro.core.fingerprint`) is canonical over
+values and treats a list and a tuple alike, so resume validation does
+not depend on that normalization.
 """
 
 from __future__ import annotations

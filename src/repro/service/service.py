@@ -414,7 +414,6 @@ class CampaignService:
                     opened = CampaignJournal.open(
                         self.journal_root / campaign.campaign_id,
                         campaign_fingerprint(config, machine.blueprint),
-                        mode="engine",
                         resume=resume,
                         synopsis=campaign_synopsis(
                             config, machine.blueprint

@@ -48,8 +48,12 @@ def _axis_config(axis, **overrides):
     return fast_config(freqs, **kw)
 
 
+#: calibration start time used for keys built outside a campaign
+_T0 = 0.0
+
+
 def _facet_config(**overrides):
-    """A 2-facet memory-axis campaign (replica calibration scheme)."""
+    """A 2-facet memory-axis campaign."""
     return fast_config(
         (1215.0, 810.0),
         axis="memory",
@@ -79,10 +83,10 @@ class TestFingerprint:
     def test_deterministic_across_machine_builds(self):
         cfg = _axis_config("sm_core")
         a = calibration_fingerprint(
-            cfg, _machine().blueprint, 0, None, "driver"
+            cfg, _machine().blueprint, 0, None, _T0
         )
         b = calibration_fingerprint(
-            cfg, _machine().blueprint, 0, None, "driver"
+            cfg, _machine().blueprint, 0, None, _T0
         )
         assert a == b
 
@@ -92,11 +96,11 @@ class TestFingerprint:
         # identity and warm runs in the same process always missed.
         cfg = _axis_config("sm_core")
         before = calibration_fingerprint(
-            cfg, _machine().blueprint, 0, None, "driver"
+            cfg, _machine().blueprint, 0, None, _T0
         )
         run_campaign(_machine(), cfg, workers=1)
         after = calibration_fingerprint(
-            cfg, _machine().blueprint, 0, None, "driver"
+            cfg, _machine().blueprint, 0, None, _T0
         )
         assert before == after
 
@@ -113,19 +117,19 @@ class TestFingerprint:
     def test_affecting_field_changes_key(self, change):
         bp = _machine().blueprint
         base = calibration_fingerprint(
-            _axis_config("sm_core"), bp, 0, None, "driver"
+            _axis_config("sm_core"), bp, 0, None, _T0
         )
         varied = calibration_fingerprint(
-            _axis_config("sm_core", **change), bp, 0, None, "driver"
+            _axis_config("sm_core", **change), bp, 0, None, _T0
         )
         assert varied != base
 
     def test_machine_seed_changes_key(self):
         cfg = _axis_config("sm_core")
         assert calibration_fingerprint(
-            cfg, _machine(1).blueprint, 0, None, "driver"
+            cfg, _machine(1).blueprint, 0, None, _T0
         ) != calibration_fingerprint(
-            cfg, _machine(2).blueprint, 0, None, "driver"
+            cfg, _machine(2).blueprint, 0, None, _T0
         )
 
     def test_execution_only_knobs_keep_key(self):
@@ -134,7 +138,7 @@ class TestFingerprint:
         # must still hit.
         bp = _machine().blueprint
         base = calibration_fingerprint(
-            _axis_config("sm_core"), bp, 0, None, "driver"
+            _axis_config("sm_core"), bp, 0, None, _T0
         )
         varied = _axis_config(
             "sm_core",
@@ -149,20 +153,32 @@ class TestFingerprint:
             max_consecutive_failures=11,
         )
         assert (
-            calibration_fingerprint(varied, bp, 0, None, "driver") == base
+            calibration_fingerprint(varied, bp, 0, None, _T0) == base
         )
 
     def test_scheme_and_facet_coordinates_are_keyed(self):
         cfg = _facet_config()
         bp = _machine().blueprint
         keys = {
-            calibration_fingerprint(cfg, bp, 0, 1410.0, "replica"),
-            calibration_fingerprint(cfg, bp, 0, 1410.0, "driver"),
-            calibration_fingerprint(cfg, bp, 1, 1410.0, "replica"),
-            calibration_fingerprint(cfg, bp, 0, 810.0, "replica"),
-            calibration_fingerprint(cfg, bp, 0, None, "replica"),
+            calibration_fingerprint(cfg, bp, 0, 1410.0, _T0),
+            calibration_fingerprint(cfg, bp, 1, 1410.0, _T0),
+            calibration_fingerprint(cfg, bp, 0, 810.0, _T0),
+            calibration_fingerprint(cfg, bp, 0, None, _T0),
         }
-        assert len(keys) == 5
+        assert len(keys) == 4
+
+    def test_start_time_is_keyed(self):
+        # A replica calibration boots at the campaign's start time, so a
+        # reused machine mid-timeline must never share a fresh build's key.
+        cfg = _facet_config()
+        bp = _machine().blueprint
+        fresh = calibration_fingerprint(cfg, bp, 0, 1410.0, bp.start_time)
+        assert fresh == calibration_fingerprint(
+            cfg, bp, 0, 1410.0, bp.start_time
+        )
+        assert fresh != calibration_fingerprint(
+            cfg, bp, 0, 1410.0, bp.start_time + 1e-9
+        )
 
     @given(
         rse=st.floats(0.01, 0.2),
@@ -173,7 +189,7 @@ class TestFingerprint:
     def test_excluded_knobs_never_move_key(self, rse, cap, retries):
         bp = make_machine("A100", seed=4242).blueprint
         base = calibration_fingerprint(
-            _axis_config("sm_core"), bp, 0, None, "driver"
+            _axis_config("sm_core"), bp, 0, None, _T0
         )
         varied = _axis_config(
             "sm_core",
@@ -182,7 +198,7 @@ class TestFingerprint:
             max_job_retries=retries,
         )
         assert (
-            calibration_fingerprint(varied, bp, 0, None, "driver") == base
+            calibration_fingerprint(varied, bp, 0, None, _T0) == base
         )
 
     @given(extra=st.integers(1, 400))
@@ -190,13 +206,13 @@ class TestFingerprint:
     def test_affecting_knobs_always_move_key(self, extra):
         bp = make_machine("A100", seed=4242).blueprint
         base = calibration_fingerprint(
-            _axis_config("sm_core"), bp, 0, None, "driver"
+            _axis_config("sm_core"), bp, 0, None, _T0
         )
         varied = _axis_config(
             "sm_core", delay_iterations=150 + extra
         )
         assert (
-            calibration_fingerprint(varied, bp, 0, None, "driver") != base
+            calibration_fingerprint(varied, bp, 0, None, _T0) != base
         )
 
 
@@ -426,17 +442,28 @@ class TestColdWarmIdentity:
                 ),
             )
 
-    def test_reused_machine_bypasses_cache(self, tmp_path):
-        # A machine mid-timeline (device sweeps reuse one machine) is not
-        # a fresh blueprint build; the cache must not serve it.
-        cfg = _facet_config(calibration_cache=str(tmp_path / "cc"))
-        machine = _machine(11)
-        first = CampaignExecutor(machine, cfg, workers=1)
-        first.run()
-        assert first.calibration_cache_stats is not None
-        second = CampaignExecutor(machine, cfg, workers=1)
-        second.run()
-        assert second.calibration_cache_stats is None
+    def test_reused_machine_keys_by_start_time(self, tmp_path):
+        # A machine mid-timeline (device sweeps reuse one machine)
+        # consults the cache under its own, later start time: it misses
+        # the fresh build's entry and measures exactly what an uncached
+        # campaign on the same reused machine measures.
+        cfg = _axis_config("sm_core", calibration_cache=str(tmp_path / "cc"))
+        cached = _machine(11)
+        run_campaign(cached, cfg, workers=1)
+        second = CampaignExecutor(cached, cfg, workers=1)
+        reused = second.run()
+        assert second.calibration_cache_stats == {
+            "hits": 0,
+            "misses": 1,
+            "installs": 1,
+            "corrupt": 0,
+        }
+
+        plain = _machine(11)
+        run_campaign(plain, _axis_config("sm_core"), workers=1)
+        uncached = run_campaign(plain, _axis_config("sm_core"), workers=1)
+        assert _campaign_fingerprint(reused) == _campaign_fingerprint(uncached)
+        assert reused.wall_virtual_s == uncached.wall_virtual_s
 
 
 # ---------------------------------------------------------------------------

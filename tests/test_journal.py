@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import signal
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro import make_machine
 from repro.core.journal import (
+    JOURNAL_VERSION,
     CampaignJournal,
     ShutdownGuard,
     campaign_fingerprint,
@@ -81,12 +83,12 @@ class TestFingerprint:
 
 class TestJournalLifecycle:
     def test_append_load_roundtrip(self, tmp_path):
-        journal = CampaignJournal.open(tmp_path / "j", "f" * 64, "engine")
+        journal = CampaignJournal.open(tmp_path / "j", "f" * 64)
         journal.append(3, _pair(), 1.5)
         journal.append(5, _pair(1095.0, 705.0), 2.5)
         journal.close()
         reopened = CampaignJournal.open(
-            tmp_path / "j", "f" * 64, "engine", resume=True
+            tmp_path / "j", "f" * 64, resume=True
         )
         records = reopened.load()
         reopened.close()
@@ -95,34 +97,36 @@ class TestJournalLifecycle:
         assert (pair.init_mhz, pair.target_mhz, elapsed) == (705.0, 1410.0, 1.5)
 
     def test_fresh_open_refuses_existing_journal(self, tmp_path):
-        CampaignJournal.open(tmp_path / "j", "f" * 64, "engine").close()
+        CampaignJournal.open(tmp_path / "j", "f" * 64).close()
         with pytest.raises(ConfigError, match="already exists"):
-            CampaignJournal.open(tmp_path / "j", "f" * 64, "engine")
+            CampaignJournal.open(tmp_path / "j", "f" * 64)
 
     def test_resume_refuses_missing_journal(self, tmp_path):
         with pytest.raises(ConfigError, match="no journal"):
             CampaignJournal.open(
-                tmp_path / "nope", "f" * 64, "engine", resume=True
+                tmp_path / "nope", "f" * 64, resume=True
             )
 
     def test_resume_refuses_fingerprint_mismatch(self, tmp_path):
-        CampaignJournal.open(tmp_path / "j", "a" * 64, "engine").close()
+        CampaignJournal.open(tmp_path / "j", "a" * 64).close()
         with pytest.raises(MeasurementError, match="fingerprint"):
             CampaignJournal.open(
-                tmp_path / "j", "b" * 64, "engine", resume=True
+                tmp_path / "j", "b" * 64, resume=True
             )
 
-    def test_resume_refuses_mode_mismatch(self, tmp_path):
-        CampaignJournal.open(tmp_path / "j", "f" * 64, "serial").close()
-        with pytest.raises(MeasurementError, match="serial"):
-            CampaignJournal.open(
-                tmp_path / "j", "f" * 64, "engine", resume=True
-            )
+    def test_resume_refuses_version_mismatch(self, tmp_path):
+        CampaignJournal.open(tmp_path / "j", "f" * 64).close()
+        meta_path = tmp_path / "j" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["version"] = JOURNAL_VERSION - 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(MeasurementError, match="format version"):
+            CampaignJournal.open(tmp_path / "j", "f" * 64, resume=True)
 
     def test_duplicate_indices_keep_first(self, tmp_path):
         # At-least-once delivery can journal a pair twice; both copies are
         # bit-identical by determinism, and the loader keeps the first.
-        journal = CampaignJournal.open(tmp_path / "j", "f" * 64, "engine")
+        journal = CampaignJournal.open(tmp_path / "j", "f" * 64)
         journal.append(1, _pair(), 1.0)
         journal.append(1, _pair(), 9.0)
         records = journal.load()
@@ -131,7 +135,7 @@ class TestJournalLifecycle:
         assert records[1][1] == 1.0
 
     def test_torn_tail_frame_dropped(self, tmp_path):
-        journal = CampaignJournal.open(tmp_path / "j", "f" * 64, "engine")
+        journal = CampaignJournal.open(tmp_path / "j", "f" * 64)
         journal.append(1, _pair(), 1.0)
         journal.append(2, _pair(), 2.0)
         journal.close()
@@ -139,7 +143,7 @@ class TestJournalLifecycle:
         data = log.read_bytes()
         log.write_bytes(data[:-7])  # SIGKILL mid-append
         reopened = CampaignJournal.open(
-            tmp_path / "j", "f" * 64, "engine", resume=True
+            tmp_path / "j", "f" * 64, resume=True
         )
         records = reopened.load()
         reopened.close()
@@ -147,7 +151,7 @@ class TestJournalLifecycle:
         assert reopened.n_corrupt_tail == 1
 
     def test_corrupt_crc_dropped(self, tmp_path):
-        journal = CampaignJournal.open(tmp_path / "j", "f" * 64, "engine")
+        journal = CampaignJournal.open(tmp_path / "j", "f" * 64)
         journal.append(1, _pair(), 1.0)
         journal.close()
         log = tmp_path / "j" / "pairs.log"
@@ -155,7 +159,7 @@ class TestJournalLifecycle:
         data[-1] ^= 0xFF
         log.write_bytes(bytes(data))
         reopened = CampaignJournal.open(
-            tmp_path / "j", "f" * 64, "engine", resume=True
+            tmp_path / "j", "f" * 64, resume=True
         )
         assert reopened.load() == {}
         reopened.close()
@@ -163,10 +167,10 @@ class TestJournalLifecycle:
     def test_appends_survive_without_close(self, tmp_path):
         # Durability contract: every acknowledged append is on disk even
         # if the process never gets to close() (crash, SIGKILL).
-        journal = CampaignJournal.open(tmp_path / "j", "f" * 64, "engine")
+        journal = CampaignJournal.open(tmp_path / "j", "f" * 64)
         journal.append(7, _pair(), 3.0)
         fresh = CampaignJournal.open(
-            tmp_path / "j", "f" * 64, "engine", resume=True
+            tmp_path / "j", "f" * 64, resume=True
         )
         assert sorted(fresh.load()) == [7]
         fresh.close()
@@ -201,7 +205,7 @@ class TestShutdownGuard:
 
 def test_fingerprint_excludes_are_real_fields():
     from repro.core.config import LatestConfig
-    from repro.core.journal import _FINGERPRINT_EXCLUDED
+    from repro.core.fingerprint import EXECUTION_ONLY_FIELDS
 
     names = {f.name for f in dataclasses.fields(LatestConfig)}
-    assert _FINGERPRINT_EXCLUDED <= names
+    assert EXECUTION_ONLY_FIELDS <= names

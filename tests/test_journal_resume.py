@@ -8,8 +8,6 @@ and then resumed against its journal produces a
 measurement axis.
 """
 
-import shlex
-
 import pytest
 
 from repro import make_machine, run_campaign
@@ -63,7 +61,6 @@ class TestInterruptResumeAxes:
         recorded = CampaignJournal.open(
             journal_dir,
             campaign_fingerprint(_axis_config(axis), _machine().blueprint),
-            "engine",
             resume=True,
         )
         n_recorded = len(recorded.load())
@@ -146,39 +143,17 @@ class TestResumeValidation:
             )
 
 
-class TestSerialJournal:
-    def test_serial_run_records_durably(self, tmp_path):
-        journal_dir = tmp_path / "journal"
-        cfg = _axis_config("sm_core")
-        run_campaign(_machine(), cfg, workers=None, journal=str(journal_dir))
-        journal = CampaignJournal.open(
-            journal_dir,
-            campaign_fingerprint(cfg, _machine().blueprint),
-            "serial",
-            resume=True,
+def test_serial_journal_rejected(tmp_path):
+    # Journals are engine-only: the serial loop shares one RNG/clock
+    # timeline, so nothing it recorded could ever be resumed.
+    with pytest.raises(ConfigError, match="journal requires the execution"):
+        run_campaign(
+            _machine(),
+            _axis_config("sm_core"),
+            workers=None,
+            journal=str(tmp_path / "journal"),
         )
-        records = journal.load()
-        journal.close()
-        assert len(records) == len(cfg.pairs())
-
-    def test_serial_resume_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="execution engine"):
-            run_campaign(
-                _machine(),
-                _axis_config("sm_core"),
-                workers=None,
-                journal=str(tmp_path / "journal"),
-                resume=True,
-            )
-
-    def test_engine_cannot_resume_serial_journal(self, tmp_path):
-        journal_dir = tmp_path / "journal"
-        cfg = _axis_config("sm_core")
-        run_campaign(_machine(), cfg, workers=None, journal=str(journal_dir))
-        with pytest.raises(MeasurementError, match="serial"):
-            run_campaign_parallel(
-                _machine(), cfg, workers=1, journal=journal_dir, resume=True
-            )
+    assert not (tmp_path / "journal").exists()
 
 
 class TestCliResume:
@@ -211,37 +186,17 @@ class TestCliResume:
         with pytest.raises(SystemExit):
             main(self._ARGS + ["--resume"])
 
-    def test_serial_journal_resume_prints_engine_command(
-        self, tmp_path, capsys
-    ):
-        """A serial-mode journal hard-errors on --resume with a fix.
-
-        The diagnostic must name the journal's recorded execution mode
-        and print the exact engine-mode command line to use — exact
-        enough that running it verbatim succeeds.
-        """
+    def test_journal_without_workers_routes_to_engine(self, tmp_path, capsys):
+        # --journal alone runs through the engine at --workers 1, so the
+        # interrupted campaign is resumable without naming --workers.
         journal = str(tmp_path / "journal")
-        serial_args = [a for a in self._ARGS if a not in ("--workers", "1")]
-        assert main(serial_args + ["--journal", journal]) == 0
-        capsys.readouterr()
-
-        code = main(serial_args + ["--journal", journal, "--resume"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "recorded by a 'serial'-mode run" in err
-        hint = next(
-            line.strip()
-            for line in err.splitlines()
-            if line.strip().startswith("latest-bench ")
+        no_workers = [a for a in self._ARGS if a not in ("--workers", "1")]
+        code = main(
+            no_workers + ["--journal", journal, "--inject-faults", "interrupt@1"]
         )
-        assert "--resume" not in hint
-        assert "--workers 1" in hint
-        assert f"--journal {journal}-engine" in hint
-
-        # The suggested command is runnable as printed.
-        code = main(shlex.split(hint)[1:])
-        capsys.readouterr()
-        assert code == 0
+        assert code == 130
+        assert f"--journal {journal} --resume" in capsys.readouterr().err
+        assert main(no_workers + ["--journal", journal, "--resume"]) == 0
 
 
 def test_interrupted_error_without_journal_has_no_dir(tmp_path):
