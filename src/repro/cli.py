@@ -21,6 +21,7 @@ from repro.analysis.render import (
 from repro.analysis.summary import summarize_campaign
 from repro.core.campaign import run_campaign
 from repro.core.config import LatestConfig
+from repro.core.stream import FacetPrepared, ProgressSink, RecordingSink
 from repro.errors import CampaignInterrupted, ReproError
 from repro.machine import make_machine
 
@@ -127,15 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "when either is given",
     )
     parser.add_argument(
-        "--pass-block",
-        type=int,
-        default=25,
-        metavar="B",
-        help="upper bound on the batched pass-block size of the per-pair "
-        "measurement loop (results are bit-identical for every value); "
-        "0 forces the scalar reference loop (default 25)",
-    )
-    parser.add_argument(
         "--calibration-cache",
         default=None,
         metavar="DIR",
@@ -191,15 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic fault injection for testing the recovery "
         "paths: semicolon-separated kind@index[*fires][:param] actions, "
         "kinds kill/hang/raise/interrupt (see repro.exec.faults)",
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        metavar="OUT.pstats",
-        help="profile the campaign under cProfile and write the stats to "
-        "this path (inspect with python -m pstats or snakeviz); a "
-        "per-stage breakdown (calibration/phase1/probe/batch-step/stream) "
-        "is printed to stderr",
     )
     sim = parser.add_argument_group("simulated environment")
     sim.add_argument(
@@ -349,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
             max_measurements=args.max_measurements,
             record_sm_count=args.sm_count,
             output_dir=args.output_dir,
-            pass_block_size=args.pass_block if args.pass_block > 0 else None,
             max_job_retries=args.max_job_retries,
             job_timeout_factor=args.job_timeout_factor,
             inject_faults=args.inject_faults,
@@ -359,19 +341,15 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"error: {exc}")
     sinks = []
     if args.progress:
-        from repro.core.stream import ProgressSink
-
         sinks.append(ProgressSink())
     if args.stream_csv:
         from repro.core.csvio import CsvStreamSink
 
         sinks.append(CsvStreamSink(args.stream_csv))
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
+    recorder = None
+    if args.calibration_cache is not None:
+        recorder = RecordingSink()
+        sinks.append(recorder)
     try:
         result = run_campaign(
             machine,
@@ -392,34 +370,19 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(args.profile)
-            print(f"profile written to {args.profile}", file=sys.stderr)
-            from repro.core.calibcache import last_run_stats
-            from repro.profiling import render_stage_breakdown
 
-            print(
-                render_stage_breakdown(
-                    args.profile, cache_stats=last_run_stats()
-                ),
-                file=sys.stderr,
-            )
-
-    if args.calibration_cache is not None:
-        from repro.core.calibcache import last_run_stats
-
-        cache_stats = last_run_stats()
-        if cache_stats is not None:
-            # Deliberately not gated on --quiet: harnesses (the CI cache
-            # smoke test among them) grep this line off stderr.
-            print(
-                f"calibration cache: {cache_stats['hits']} hit(s), "
-                f"{cache_stats['misses']} miss(es), "
-                f"{cache_stats['installs']} installed",
-                file=sys.stderr,
-            )
+    if recorder is not None:
+        # Every miss is calibrated and then installed.  Deliberately not
+        # gated on --quiet: harnesses (the CI cache smoke test among
+        # them) grep this line off stderr.
+        facets = recorder.of_type(FacetPrepared)
+        hits = sum(event.cache_hit for event in facets)
+        misses = len(facets) - hits
+        print(
+            f"calibration cache: {hits} hit(s), {misses} miss(es), "
+            f"{misses} installed",
+            file=sys.stderr,
+        )
 
     if not args.quiet:
         from repro.core.axis import axis_by_name

@@ -36,9 +36,10 @@ journal's length+CRC32 framing to a temp file and atomically
 (version or key mismatch) or otherwise unreadable entry degrades to a
 cache *miss* — never an error; the calibration simply re-runs and the
 entry is rewritten.  An in-memory LRU fronts the directory so repeated
-lookups inside one process never re-read disk, and ``stats`` counts
-hits, misses, installs and corrupt entries for observability
-(``--profile`` and the CLI's cache summary line report them).
+lookups inside one process never re-read disk.  Hits and misses are
+observable on the campaign event stream: every
+:class:`~repro.core.stream.FacetPrepared` event carries ``cache_hit``,
+which the CLI's cache summary line counts.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ __all__ = [
     "CalibrationCache",
     "FacetCalibration",
     "calibration_fingerprint",
-    "last_run_stats",
-    "record_run_stats",
 ]
 
 #: cache entry format version (bump on incompatible entry or key changes;
@@ -165,7 +164,6 @@ class CalibrationCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_memory_entries = int(max_memory_entries)
         self._memory: "OrderedDict[str, FacetCalibration]" = OrderedDict()
-        self.stats = {"hits": 0, "misses": 0, "installs": 0, "corrupt": 0}
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.calib"
@@ -181,48 +179,31 @@ class CalibrationCache:
         entry = self._memory.get(key)
         if entry is not None:
             self._memory.move_to_end(key)
-            self.stats["hits"] += 1
             return entry
         entry = self._read(key)
-        if entry is None:
-            self.stats["misses"] += 1
-            return None
-        self._remember(key, entry)
-        self.stats["hits"] += 1
+        if entry is not None:
+            self._remember(key, entry)
         return entry
 
     def _read(self, key: str) -> FacetCalibration | None:
-        path = self._path(key)
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.stats["corrupt"] += 1
-            return None
-        if len(raw) < _FRAME.size:
-            self.stats["corrupt"] += 1
-            return None
-        length, crc = _FRAME.unpack(raw[: _FRAME.size])
-        blob = raw[_FRAME.size : _FRAME.size + length]
-        if len(blob) < length or zlib.crc32(blob) != crc:
-            self.stats["corrupt"] += 1
-            return None
-        try:
+            raw = self._path(key).read_bytes()
+            length, crc = _FRAME.unpack(raw[: _FRAME.size])
+            blob = raw[_FRAME.size : _FRAME.size + length]
+            if len(blob) < length or zlib.crc32(blob) != crc:
+                return None
             version, stored_key, entry = pickle.loads(blob)
         except Exception:
-            self.stats["corrupt"] += 1
+            # Missing, unreadable, truncated or unpicklable: a miss.
             return None
-        if (
-            version != CALIB_CACHE_VERSION
-            or stored_key != key
-            or not isinstance(entry, FacetCalibration)
-        ):
-            # Stale format or a file renamed under a foreign key: a miss,
-            # not an error — the entry will be recomputed and rewritten.
-            self.stats["corrupt"] += 1
-            return None
-        return entry
+        # A stale format or a file renamed under a foreign key is a miss,
+        # not an error — the entry will be recomputed and rewritten.
+        fresh = (
+            version == CALIB_CACHE_VERSION
+            and stored_key == key
+            and isinstance(entry, FacetCalibration)
+        )
+        return entry if fresh else None
 
     def install(self, key: str, entry: FacetCalibration) -> None:
         blob = pickle.dumps(
@@ -250,19 +231,3 @@ class CalibrationCache:
                 except OSError:
                     pass
         self._remember(key, entry)
-        self.stats["installs"] += 1
-
-
-#: stats of the most recent executor run that had a cache attached, for
-#: the CLI summary line and the ``--profile`` breakdown (one campaign
-#: per CLI process, so a module global is unambiguous there)
-_LAST_RUN_STATS: dict | None = None
-
-
-def record_run_stats(stats: dict) -> None:
-    global _LAST_RUN_STATS
-    _LAST_RUN_STATS = dict(stats)
-
-
-def last_run_stats() -> dict | None:
-    return None if _LAST_RUN_STATS is None else dict(_LAST_RUN_STATS)

@@ -350,14 +350,11 @@ def measure_pair(
 
     Dispatches to the batched pass-block pipeline
     (:mod:`repro.core.passblock`) unless ``config.pass_block_size`` is
-    ``None`` or the machine carries an active tracer — both paths produce
-    bit-identical results; the scalar loop below is the reference
-    implementation and the one whose per-pass trace events are meaningful.
+    ``None`` — both paths produce bit-identical results; the scalar loop
+    below is the reference implementation.
     """
-    from repro.trace import NULL_TRACER
-
     block = bench.config.pass_block_size
-    if block is not None and bench.machine.tracer is NULL_TRACER:
+    if block is not None:
         from repro.core.passblock import measure_pair_blocked
 
         return measure_pair_blocked(
@@ -380,7 +377,6 @@ def measure_pair_reference(
     batched pipeline reproduces it bit for bit.
     """
     cfg = bench.config
-    machine = bench.machine
     kernel = phase1.kernel
     target_stats = phase1.stats_for(target_mhz)
     rule = cfg.stopping_rule()
@@ -428,14 +424,6 @@ def measure_pair_reference(
                 continue
 
         ev = evaluate_switch(raw, target_stats, cfg)
-        machine.tracer.emit(
-            machine.clock.now, "campaign", "evaluation",
-            pair=f"{init_mhz:g}->{target_mhz:g}",
-            outcome=ev.reason,
-            latency_ms=(
-                round(ev.latency_s * 1e3, 3) if ev.ok else None
-            ),
-        )
         if ev.ok:
             consecutive_failures = 0
             pair.measurements.append(
@@ -495,8 +483,9 @@ def run_campaign(
     with deterministic seed streams: the result is identical for every
     worker count (1, 4, ...), but differs from the serial timeline because
     pairs no longer share one clock/RNG stream.  Either way the per-pair
-    inner loop runs batched (``config.pass_block_size``) or scalar —
-    bit-identical by contract.
+    inner loop runs in pass blocks of ``config.pass_block_size`` passes
+    (``None`` selects the scalar reference loop, bit-identical by
+    contract).
 
     With ``config.memory_frequencies`` set, both paths sweep the full
     core×memory grid: the SM pair grid is re-characterized and measured

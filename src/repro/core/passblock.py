@@ -46,12 +46,10 @@ architectures.
 Scalar fallback
 ---------------
 ``measure_pair`` (the dispatcher in :mod:`repro.core.campaign`) routes to
-the reference loop when ``config.pass_block_size`` is ``None`` or the
-machine carries an active tracer (speculative passes would emit trace
-events for work that is later rolled back; the reference loop's trace is
-the meaningful one).  Within the batched loop itself, blocks degrade to
-size 1 near stopping-rule boundaries — identical semantics, just without
-batching gains.
+the reference loop when ``config.pass_block_size`` is ``None``; tests and
+benchmarks use that to compare the two paths.  Within the batched loop
+itself, blocks degrade to size 1 near stopping-rule boundaries — identical
+semantics, just without batching gains.
 """
 
 from __future__ import annotations

@@ -87,7 +87,6 @@ from repro.core.calibcache import (
     CalibrationCache,
     FacetCalibration,
     calibration_fingerprint,
-    record_run_stats,
 )
 from repro.core.campaign import LatestBenchmark, facet_skip_reason
 from repro.core.journal import (
@@ -98,7 +97,7 @@ from repro.core.journal import (
     replay_events,
 )
 # Unused here since calibration moved to calibrate_facet; kept importable
-# as an engine attribute because the perfbench tracer and the warm-cache
+# as an engine attribute because perfbench/spans.py and the warm-cache
 # tests patch it by name.
 from repro.core.phase1 import run_phase1  # noqa: F401
 from repro.core.config import LatestConfig
@@ -249,9 +248,6 @@ class CampaignExecutor:
         #: filled by :meth:`_calibrate_facets` from each facet's
         #: calibration record
         self._fixed_pass_by_facet: dict = {}
-        #: hit/miss/install counters of the calibration cache consulted
-        #: by the last :meth:`run` (``None`` when no cache was attached)
-        self.calibration_cache_stats: dict | None = None
 
     # ------------------------------------------------------------------
     def _build_jobs(
@@ -388,9 +384,6 @@ class CampaignExecutor:
                 cache.install(keys[cal.facet_index], cal)
         for facet_index in range(len(facet_plan)):
             machine.clock.advance(calibrations[facet_index].elapsed_virtual_s)
-        if cache is not None:
-            record_run_stats(cache.stats)
-            self.calibration_cache_stats = dict(cache.stats)
         phase1_by_facet: dict = {}
         probe_by_facet: dict = {}
         for facet_index, facet in enumerate(facet_plan):

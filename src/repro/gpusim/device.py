@@ -50,7 +50,6 @@ from repro.gpusim.sm import (
 from repro.gpusim.spec import GpuSpec
 from repro.gpusim.thermal import ThermalModel, ThermalState, ThrottleReasons
 from repro.simtime.clock import HardwareClock, VirtualClock
-from repro.trace import NULL_TRACER, Tracer
 
 __all__ = ["KernelLaunchSpec", "KernelHandle", "GpuDevice"]
 
@@ -132,7 +131,6 @@ class GpuDevice:
         profile=None,
         sm_start_stagger_s: float = 4e-6,
         idle_timeout_s: float = 0.050,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.spec = spec
         self.clock = clock
@@ -140,7 +138,6 @@ class GpuDevice:
         self.index = index
         self.unit_seed = unit_seed
         self.sm_start_stagger_s = sm_start_stagger_s
-        self.tracer = tracer
 
         # The GPU timer domain: arbitrary power-on offset, ppm-scale drift,
         # ~1 us register refresh (paper footnote 1).
@@ -241,11 +238,6 @@ class GpuDevice:
             self.dvfs.notify_kernel_start(handle.t_start)
             handle.start_notified = True
         self._pending.append(handle)
-        self.tracer.emit(
-            now, "device", "kernel-launch",
-            gpu=self.index, seq=handle.seq,
-            n_iter=spec.n_iterations, label=spec.label,
-        )
         return handle
 
     def synchronize(self) -> float:
@@ -309,11 +301,6 @@ class GpuDevice:
         self.energy.record_busy(t_start, completion)
         self._busy_until = completion
         self._advance_thermal(completion, load=1.0)
-        self.tracer.emit(
-            completion, "device", "kernel-complete",
-            gpu=self.index, seq=handle.seq,
-            duration_ms=round((completion - t_start) * 1e3, 3),
-        )
 
     def _finalize_aggregate(
         self,
@@ -418,16 +405,6 @@ class GpuDevice:
         self._drain_completed(t)
         record = self.dvfs.request_locked_clocks(freq_mhz, t)
         self._maybe_power_cap(t)
-        self.tracer.emit(
-            t, "dvfs", "locked-clocks",
-            gpu=self.index, target_mhz=freq_mhz,
-            init_mhz=record.init_mhz if record else None,
-            latency_ms=(
-                round(record.ground_truth_latency_s * 1e3, 3)
-                if record
-                else None
-            ),
-        )
         return record
 
     def reset_locked_clocks(self) -> None:
@@ -447,16 +424,6 @@ class GpuDevice:
         self._drain_completed(t)
         record = self.mem_dvfs.request_locked_clocks(freq_mhz, t)
         self._memory_static = False
-        self.tracer.emit(
-            t, "dvfs", "memory-locked-clocks",
-            gpu=self.index, target_mhz=freq_mhz,
-            init_mhz=record.init_mhz if record else None,
-            latency_ms=(
-                round(record.ground_truth_latency_s * 1e3, 3)
-                if record
-                else None
-            ),
-        )
         return record
 
     def reset_memory_locked_clocks(self) -> TransitionRecord | None:
@@ -476,16 +443,6 @@ class GpuDevice:
         self._drain_completed(t)
         record = self.power_dvfs.request_locked_clocks(limit_w, t)
         self._power_static = False
-        self.tracer.emit(
-            t, "dvfs", "power-limit",
-            gpu=self.index, target_w=limit_w,
-            init_w=record.init_mhz if record else None,
-            latency_ms=(
-                round(record.ground_truth_latency_s * 1e3, 3)
-                if record
-                else None
-            ),
-        )
         return record
 
     def reset_power_limit(self) -> TransitionRecord | None:

@@ -21,7 +21,6 @@ from repro.gpusim.spec import GpuSpec, lookup_spec
 from repro.gpusim.thermal import ThermalModel
 from repro.simtime.clock import VirtualClock
 from repro.simtime.host import HostCpu, SleepModel
-from repro.trace import NULL_TRACER, Tracer
 
 __all__ = ["Machine", "MachineBlueprint", "MachineCheckpoint", "make_machine"]
 
@@ -125,7 +124,6 @@ class Machine:
     devices: list[GpuDevice]
     hostname: str = "simnode01"
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
-    tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
     #: construction record for process-pool replication (None when the
     #: machine was assembled by hand)
     blueprint: MachineBlueprint | None = None
@@ -187,7 +185,6 @@ def make_machine(
     sleep_model: SleepModel | None = None,
     unit_seeds: list[int] | None = None,
     start_time: float = 0.0,
-    tracer: Tracer | None = None,
 ) -> Machine:
     """Build a simulated machine.
 
@@ -208,8 +205,6 @@ def make_machine(
     unit_seeds:
         Per-device manufacturing serials.  Defaults to ``100 + index`` so
         each GPU on a node exhibits distinct unit-level variability.
-    tracer:
-        Event tracer shared by all components; None disables tracing.
     """
     if n_gpus < 1:
         raise ConfigError("machine needs at least one GPU")
@@ -232,7 +227,6 @@ def make_machine(
     if len(unit_seeds) != n_gpus:
         raise ConfigError("unit_seeds length must match n_gpus")
 
-    trace = tracer if tracer is not None else NULL_TRACER
     devices = []
     for i in range(n_gpus):
         thermal = ThermalModel(
@@ -249,7 +243,6 @@ def make_machine(
                 index=i,
                 unit_seed=unit_seeds[i],
                 thermal=thermal,
-                tracer=trace,
             )
         )
     blueprint = MachineBlueprint(
@@ -271,6 +264,5 @@ def make_machine(
         devices=devices,
         hostname=hostname,
         rng=_machine_rng(master.spawn(1)[0]),
-        tracer=trace,
         blueprint=blueprint,
     )

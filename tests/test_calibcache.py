@@ -23,7 +23,6 @@ from repro.core.calibcache import (
     CalibrationCache,
     FacetCalibration,
     calibration_fingerprint,
-    last_run_stats,
 )
 from repro.core.campaign import LatestBenchmark
 from repro.core.stream import FacetPrepared, RecordingSink
@@ -64,6 +63,18 @@ def _facet_config(**overrides):
 
 def _machine(seed=4242):
     return make_machine("A100", seed=seed)
+
+
+def _counted(run, machine, config, **kwargs):
+    """Run a campaign; return it with its cache (hits, misses).
+
+    Both counts come off the event stream: one ``FacetPrepared`` per
+    facet, flagged ``cache_hit`` when the calibration was replayed.
+    """
+    sink = RecordingSink()
+    result = run(machine, config, sinks=(sink,), **kwargs)
+    flags = [e.cache_hit for e in sink.of_type(FacetPrepared)]
+    return result, (sum(flags), len(flags) - sum(flags))
 
 
 def _entry(index=0, facet=None):
@@ -222,21 +233,11 @@ class TestCacheStore:
         key = "k" * 64
         writer = CalibrationCache(tmp_path / "cc")
         writer.install(key, _entry())
-        assert writer.stats["installs"] == 1
-        reader = CalibrationCache(tmp_path / "cc")
-        got = reader.get(key)
-        assert got == _entry()
-        assert reader.stats == {
-            "hits": 1,
-            "misses": 0,
-            "installs": 0,
-            "corrupt": 0,
-        }
+        assert CalibrationCache(tmp_path / "cc").get(key) == _entry()
 
     def test_absent_key_is_a_miss(self, tmp_path):
         cache = CalibrationCache(tmp_path / "cc")
         assert cache.get("a" * 64) is None
-        assert cache.stats["misses"] == 1
 
     def test_memory_lru_is_bounded_but_disk_is_not(self, tmp_path):
         cache = CalibrationCache(tmp_path / "cc", max_memory_entries=2)
@@ -245,7 +246,6 @@ class TestCacheStore:
         assert len(cache._memory) == 2
         # Evicted entries still come back from disk.
         assert cache.get("key0") == _entry(index=0)
-        assert cache.stats["hits"] == 1
 
     def _install_one(self, tmp_path):
         cache = CalibrationCache(tmp_path / "cc")
@@ -275,8 +275,9 @@ class TestCacheStore:
             path.write_bytes(b"")
         fresh = CalibrationCache(tmp_path / "cc")
         assert fresh.get(key) is None
-        assert fresh.stats["corrupt"] == 1
-        assert fresh.stats["misses"] == 1
+        # The recomputed entry overwrites the damaged file.
+        fresh.install(key, _entry())
+        assert CalibrationCache(tmp_path / "cc").get(key) == _entry()
 
     def test_version_mismatch_is_a_miss(self, tmp_path, monkeypatch):
         cache, key, path = self._install_one(tmp_path)
@@ -285,17 +286,13 @@ class TestCacheStore:
         monkeypatch.setattr(
             calibcache, "CALIB_CACHE_VERSION", CALIB_CACHE_VERSION + 1
         )
-        fresh = CalibrationCache(tmp_path / "cc")
-        assert fresh.get(key) is None
-        assert fresh.stats["corrupt"] == 1
+        assert CalibrationCache(tmp_path / "cc").get(key) is None
 
     def test_entry_renamed_under_foreign_key_is_a_miss(self, tmp_path):
         cache, key, path = self._install_one(tmp_path)
         foreign = "d" * 64
         path.rename(cache._path(foreign))
-        fresh = CalibrationCache(tmp_path / "cc")
-        assert fresh.get(foreign) is None
-        assert fresh.stats["corrupt"] == 1
+        assert CalibrationCache(tmp_path / "cc").get(foreign) is None
 
     def test_failed_write_is_swallowed(self, tmp_path, monkeypatch):
         cache = CalibrationCache(tmp_path / "cc")
@@ -321,17 +318,19 @@ class TestColdWarmIdentity:
             calibration_cache=cache,
             output_dir=str(tmp_path / "cold"),
         )
-        cold = run_campaign(_machine(), cold_cfg, workers=workers)
-        assert last_run_stats()["hits"] == 0
-        assert last_run_stats()["installs"] >= 1
+        cold, counts = _counted(
+            run_campaign, _machine(), cold_cfg, workers=workers
+        )
+        assert counts == (0, 1)
         warm_cfg = _axis_config(
             axis,
             calibration_cache=cache,
             output_dir=str(tmp_path / "warm"),
         )
-        warm = run_campaign(_machine(), warm_cfg, workers=workers)
-        stats = last_run_stats()
-        assert stats["misses"] == 0 and stats["hits"] >= 1
+        warm, counts = _counted(
+            run_campaign, _machine(), warm_cfg, workers=workers
+        )
+        assert counts == (1, 0)
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
         assert warm.wall_virtual_s == cold.wall_virtual_s
         assert _csv_bytes(tmp_path / "warm") == _csv_bytes(tmp_path / "cold")
@@ -351,10 +350,13 @@ class TestColdWarmIdentity:
         monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
         monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
-        warm = run_campaign(
-            _machine(), _axis_config(axis, calibration_cache=cache), workers=1
+        warm, counts = _counted(
+            run_campaign,
+            _machine(),
+            _axis_config(axis, calibration_cache=cache),
+            workers=1,
         )
-        assert last_run_stats()["hits"] >= 1
+        assert counts == (1, 0)
         assert not any(p.skipped for p in warm.pairs.values())
 
     def test_multi_facet_warm_run_zero_passes(self, tmp_path, monkeypatch):
@@ -369,15 +371,13 @@ class TestColdWarmIdentity:
         monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
         monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
-        warm = run_campaign(
-            _machine(11), _facet_config(calibration_cache=cache), workers=1
+        warm, counts = _counted(
+            run_campaign,
+            _machine(11),
+            _facet_config(calibration_cache=cache),
+            workers=1,
         )
-        assert last_run_stats() == {
-            "hits": 2,
-            "misses": 0,
-            "installs": 0,
-            "corrupt": 0,
-        }
+        assert counts == (2, 0)
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
         assert warm.wall_virtual_s == cold.wall_virtual_s
 
@@ -422,14 +422,20 @@ class TestColdWarmIdentity:
 
     def test_warm_pool_cold_then_warm(self, tmp_path):
         cache = str(tmp_path / "cc")
-        cold = run_campaign_parallel(
-            _machine(11), _facet_config(calibration_cache=cache), workers=2
+        cold, counts = _counted(
+            run_campaign_parallel,
+            _machine(11),
+            _facet_config(calibration_cache=cache),
+            workers=2,
         )
-        assert last_run_stats()["installs"] == 2
-        warm = run_campaign_parallel(
-            _machine(11), _facet_config(calibration_cache=cache), workers=2
+        assert counts == (0, 2)
+        warm, counts = _counted(
+            run_campaign_parallel,
+            _machine(11),
+            _facet_config(calibration_cache=cache),
+            workers=2,
         )
-        assert last_run_stats()["hits"] == 2
+        assert counts == (2, 0)
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
         assert warm.wall_virtual_s == cold.wall_virtual_s
 
@@ -450,14 +456,8 @@ class TestColdWarmIdentity:
         cfg = _axis_config("sm_core", calibration_cache=str(tmp_path / "cc"))
         cached = _machine(11)
         run_campaign(cached, cfg, workers=1)
-        second = CampaignExecutor(cached, cfg, workers=1)
-        reused = second.run()
-        assert second.calibration_cache_stats == {
-            "hits": 0,
-            "misses": 1,
-            "installs": 1,
-            "corrupt": 0,
-        }
+        reused, counts = _counted(run_campaign, cached, cfg, workers=1)
+        assert counts == (0, 1)
 
         plain = _machine(11)
         run_campaign(plain, _axis_config("sm_core"), workers=1)
@@ -566,14 +566,15 @@ class TestResumeWithWarmCache:
         monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
         monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
-        resumed = run_campaign(
+        resumed, counts = _counted(
+            run_campaign,
             _machine(11),
             _facet_config(calibration_cache=cache),
             workers=1,
             journal=journal_dir,
             resume=True,
         )
-        assert last_run_stats()["hits"] == 2
+        assert counts == (2, 0)
         assert _campaign_fingerprint(resumed) == _campaign_fingerprint(golden)
         assert resumed.wall_virtual_s == golden.wall_virtual_s
 
@@ -612,3 +613,25 @@ class TestCacheCLI:
         err = capsys.readouterr().err
         assert "calibration cache: 1 hit(s), 0 miss(es), 0 installed" in err
         assert _csv_bytes(tmp_path / "warm") == _csv_bytes(tmp_path / "cold")
+
+    def test_summary_counts_every_facet(self, tmp_path, capsys):
+        # A two-facet memory-axis campaign: one cache entry per facet.
+        from repro.cli import main
+
+        args = [
+            "1215,810",
+            "--axis", "memory",
+            "--locked-sm", "1410,810",
+            "--sm-count", "4",
+            "--min-measurements", "4",
+            "--max-measurements", "6",
+            "--seed", "3",
+            "--quiet",
+            "--calibration-cache", str(tmp_path / "cc"),
+        ]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "calibration cache: 0 hit(s), 2 miss(es), 2 installed" in err
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "calibration cache: 2 hit(s), 0 miss(es), 0 installed" in err

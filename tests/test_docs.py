@@ -15,8 +15,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
 
@@ -86,9 +84,18 @@ class TestCliReference:
         assert docbuild.check_cli_flags(cli_md) == []
 
     def test_missing_flag_is_caught(self):
-        cli_md = (DOCS / "cli.md").read_text().replace("--pass-block", "")
+        cli_md = (DOCS / "cli.md").read_text().replace("--rse", "")
         errors = docbuild.check_cli_flags(cli_md)
-        assert any("--pass-block" in error for error in errors)
+        assert any("--rse" in error for error in errors)
+
+    def test_stale_flag_is_caught(self):
+        cli_md = (DOCS / "cli.md").read_text() + (
+            "\n| `--no-such-flag` | — | removed long ago |\n"
+        )
+        errors = docbuild.check_cli_flags(cli_md)
+        assert errors == [
+            "docs/cli.md: flag `--no-such-flag` is defined by no parser"
+        ]
 
 
 class TestModuleReferences:

@@ -14,7 +14,6 @@ calibration cache.
 
 import asyncio
 import json
-from pathlib import Path
 
 import pytest
 

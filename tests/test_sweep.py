@@ -1,5 +1,4 @@
-"""Tests for the event tracer, the device/model sweeps, and the oracle
-governor."""
+"""Tests for the device/model sweeps and the oracle governor."""
 
 import pytest
 
@@ -13,92 +12,7 @@ from repro.governor import (
     make_phased_application,
     simulate_governor,
 )
-from repro.trace import NULL_TRACER, TraceEvent, Tracer
 from tests.conftest import fast_config
-
-
-class TestTracer:
-    def test_emit_and_query(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "device", "kernel-launch", seq=0)
-        tracer.emit(2.0, "dvfs", "locked-clocks", target_mhz=705.0)
-        assert tracer.n_events == 2
-        assert len(list(tracer.events(category="dvfs"))) == 1
-
-    def test_disabled_tracer_drops(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(1.0, "x", "y")
-        assert tracer.n_events == 0
-
-    def test_null_tracer_is_disabled(self):
-        NULL_TRACER.emit(1.0, "x", "y")
-        assert NULL_TRACER.n_events == 0
-
-    def test_capacity_bounded(self):
-        tracer = Tracer(capacity=10)
-        for i in range(25):
-            tracer.emit(float(i), "c", "n", i=i)
-        assert tracer.n_events <= 10
-        assert tracer.n_dropped > 0
-        # Newest events survive.
-        assert tracer.last().data["i"] == 24
-
-    def test_time_window_filter(self):
-        tracer = Tracer()
-        for i in range(10):
-            tracer.emit(float(i), "c", "n")
-        window = list(tracer.events(t_min=3.0, t_max=6.0))
-        assert len(window) == 4
-
-    def test_render_and_categories(self):
-        tracer = Tracer()
-        tracer.emit(1.5, "device", "kernel-launch", seq=3)
-        text = tracer.render()
-        assert "kernel-launch" in text and "seq=3" in text
-        assert tracer.categories() == {"device": 1}
-
-    def test_format_event(self):
-        event = TraceEvent(t=1.0, category="a", name="b", data={"k": 1})
-        assert "k=1" in event.format()
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "a", "b")
-        tracer.clear()
-        assert tracer.n_events == 0
-
-
-class TestTracedCampaign:
-    def test_campaign_emits_events(self):
-        from repro import run_campaign
-
-        tracer = Tracer()
-        machine = make_machine("A100", seed=12, tracer=tracer)
-        config = fast_config(
-            (705.0, 1410.0), min_measurements=4, max_measurements=5
-        )
-        run_campaign(machine, config)
-        counts = tracer.categories()
-        assert counts.get("device", 0) > 10     # launches + completions
-        assert counts.get("dvfs", 0) > 4        # locked-clock requests
-        assert counts.get("campaign", 0) >= 8   # evaluations
-
-    def test_dvfs_events_carry_ground_truth(self):
-        tracer = Tracer()
-        machine = make_machine("A100", seed=13, tracer=tracer)
-        handle = machine.nvml().device_get_handle_by_index(0)
-        ctx = machine.cuda_context()
-        from repro.cuda.kernel import MicrobenchmarkKernel
-
-        handle.set_gpu_locked_clocks(1095.0, 1095.0)
-        kernel = MicrobenchmarkKernel.sized_for(
-            machine.device().spec, total_duration_s=0.3, sm_count=1
-        )
-        ctx.run(kernel)
-        handle.set_gpu_locked_clocks(705.0, 705.0)
-        events = list(tracer.events(category="dvfs"))
-        assert events[-1].data["target_mhz"] == 705.0
-        assert events[-1].data["latency_ms"] is not None
 
 
 class TestSweeps:

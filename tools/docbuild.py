@@ -277,21 +277,34 @@ def _parser_flags(parser) -> set[str]:
     return flags
 
 
+#: the flag a cli.md table row documents (its first cell)
+_TABLE_FLAG = re.compile(r"^\| `(--[\w-]+)` \|", re.MULTILINE)
+
+
 def check_cli_flags(cli_md: str) -> list[str]:
-    """Every flag of both console-script parsers must appear in cli.md."""
+    """cli.md and the two console-script parsers must name the same flags.
+
+    Every parser flag must appear in the page, and every flag a table row
+    documents must be defined by one of the parsers.
+    """
     from repro.cli import build_parser as bench_parser
     from repro.service.cli import build_parser as service_parser
 
     errors = []
+    defined: set[str] = set()
     for label, parser in (
         ("latest-bench", bench_parser()),
         ("repro", service_parser()),
     ):
-        for flag in sorted(_parser_flags(parser)):
+        flags = _parser_flags(parser)
+        defined |= flags
+        for flag in sorted(flags):
             if flag not in cli_md:
                 errors.append(
                     f"docs/cli.md: {label} flag `{flag}` is undocumented"
                 )
+    for flag in sorted(set(_TABLE_FLAG.findall(cli_md)) - defined):
+        errors.append(f"docs/cli.md: flag `{flag}` is defined by no parser")
     return errors
 
 
