@@ -162,8 +162,13 @@ def _suffix_stats(diffs: np.ndarray, cut: np.ndarray, rows=None):
         return zero, zero.copy(), n_tail
 
     tail_width = n_iter - c0
-    sub = block_scratch("suffix_sub", (n_rows, tail_width))
-    np.take(diffs[:, c0:], rows, axis=0, out=sub)
+    if n_rows == diffs.shape[0]:
+        # ``rows`` comes from ``flatnonzero`` (or is every row), so equal
+        # length means every row in order: read the tail in place.
+        sub = diffs[:, c0:]
+    else:
+        sub = block_scratch("suffix_sub", (n_rows, tail_width))
+        np.take(diffs[:, c0:], rows, axis=0, out=sub)
     local_cut = cut - c0
     sq = block_scratch("suffix_sq", (n_rows, tail_width))
     np.multiply(sub, sub, out=sq)

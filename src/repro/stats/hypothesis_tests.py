@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as sps
+from scipy import special as sc
 
 from repro.errors import ConfigError
 from repro.stats.descriptive import SampleStats
@@ -56,9 +56,9 @@ def welch_t_test(a: SampleStats, b: SampleStats) -> TestResult:
         return TestResult(statistic=stat, pvalue=p, dof=dof, kind="welch-t")
     stat = (a.mean - b.mean) / se
     if math.isinf(dof):
-        p = 2.0 * float(sps.norm.sf(abs(stat)))
+        p = 2.0 * float(sc.ndtr(-abs(stat)))
     else:
-        p = 2.0 * float(sps.t.sf(abs(stat), dof))
+        p = 2.0 * float(sc.stdtr(dof, -abs(stat)))
     return TestResult(statistic=stat, pvalue=p, dof=dof, kind="welch-t")
 
 
@@ -74,7 +74,7 @@ def z_test(a: SampleStats, b: SampleStats) -> TestResult:
     stat = (a.mean - b.mean) / se
     return TestResult(
         statistic=stat,
-        pvalue=2.0 * float(sps.norm.sf(abs(stat))),
+        pvalue=2.0 * float(sc.ndtr(-abs(stat))),
         dof=math.inf,
         kind="z",
     )

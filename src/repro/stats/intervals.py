@@ -12,11 +12,17 @@ deciding "does this iteration already run at the target frequency?".
 Critical values are served from an LRU cache keyed on (confidence, Welch
 dof rounded to :data:`DOF_DECIMALS` decimals).  A full campaign issues
 thousands of ``difference_ci`` calls whose degrees of freedom cluster
-around a handful of values — uncached ``scipy.stats.t.ppf`` calls used to
-account for roughly a quarter of campaign wall time.  Rounding the dof
-perturbs the critical value by less than 1e-6 relative (the t quantile
-varies slowly in dof), far below measurement noise; the cache is *exact*
-for the rounded dof, which the test suite asserts against scipy.
+around a handful of values — uncached t-quantile calls used to account
+for roughly a quarter of campaign wall time.  Rounding the dof perturbs
+the critical value by less than 1e-6 relative (the t quantile varies
+slowly in dof), far below measurement noise; the cache is *exact* for the
+rounded dof, which the test suite asserts against scipy.
+
+The quantiles come from ``scipy.special.stdtrit`` (Student t) and
+``scipy.special.ndtri`` (normal): the functions that scipy's
+``t.ppf`` and ``norm.ppf`` distribution methods wrap, so the values are
+bit-identical to those methods, without importing the whole statistics
+package (most of a process's start-up time).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special as sc
 
 from repro.errors import ConfigError
 from repro.stats.descriptive import SampleStats
@@ -50,8 +56,8 @@ NORMAL_DOF_CUTOFF = 200.0
 def _cached_critical_value(confidence: float, dof_rounded: float | None) -> float:
     tail = 0.5 + confidence / 2.0
     if dof_rounded is None:
-        return float(sps.norm.ppf(tail))
-    return float(sps.t.ppf(tail, dof_rounded))
+        return float(sc.ndtri(tail))
+    return float(sc.stdtrit(dof_rounded, tail))
 
 
 def critical_value(confidence: float, dof: float | None) -> float:
