@@ -38,6 +38,11 @@ class BenchContext:
     #: swept-axis campaign (set by :meth:`prepare_facet_clock`); ``None``
     #: outside facet sweeps
     current_locked_sm: float | None = field(default=None, init=False)
+    #: filler kernels by (iteration count, iteration duration): every
+    #: settle chunk of a campaign reuses one
+    _fillers: dict[tuple, MicrobenchmarkKernel] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.device = self.machine.device(self.config.device_index)
@@ -220,14 +225,16 @@ class BenchContext:
         """
         iter_s = self.config.iteration_duration_s
         n = max(1, int(round(duration_s / iter_s)))
-        kernel = MicrobenchmarkKernel(
-            n_iterations=n,
-            cycles_per_iteration=self.config.iteration_duration_s
-            * self.device.spec.max_sm_frequency_mhz
-            * 1e6,
-            sm_count=1,
-            label="filler",
-            aggregate=True,
-        )
+        kernel = self._fillers.get((n, iter_s))
+        if kernel is None:
+            kernel = self._fillers[n, iter_s] = MicrobenchmarkKernel(
+                n_iterations=n,
+                cycles_per_iteration=iter_s
+                * self.device.spec.max_sm_frequency_mhz
+                * 1e6,
+                sm_count=1,
+                label="filler",
+                aggregate=True,
+            )
         self.cuda.launch(kernel)
         self.cuda.synchronize()

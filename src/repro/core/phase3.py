@@ -135,31 +135,28 @@ def detection_band(
     raise ConfigError(f"unknown detection criterion {cfg.detection_criterion!r}")
 
 
-def _suffix_stats(diffs: np.ndarray, cut: np.ndarray, rows=None):
-    """Per-row mean/std/count of ``diffs[i, cut[i]:]`` without Python loops.
+def _suffix_stats(
+    diffs: np.ndarray, cut: "list[int]", rows: "list[int]"
+) -> "tuple[list[float], list[float], list[int]]":
+    """Mean/std/count of ``diffs[i, cut[k]:]`` for each listed row ``i = rows[k]``.
 
-    ``rows`` optionally restricts the computation to a row subset.  All
-    array work happens on the sub-matrix from the earliest cut onward —
-    the delay/detection prefix of the kernel (never part of any
-    confirmation tail) pays for nothing here.  Within the sub-matrix the
-    tail sums are totals minus gathered prefix cumulative sums, with the
-    squares buffer shared between the totals and the cumulative sums.
+    All array work happens on the sub-matrix from the earliest cut onward
+    — the delay/detection prefix of the kernel (never part of any
+    confirmation tail) pays for nothing here, and the anchor is part of
+    the float-op sequence.  Within the sub-matrix the tail sums are the
+    row totals (numpy's pairwise sums) minus the prefix cumulative sums
+    gathered at ``cut - 1``, with the squares buffer shared between the
+    totals and the cumulative sums.  The per-row remainder is a dozen
+    float operations, done on Python floats (the same float64 steps the
+    array form applies elementwise).
     """
-    if rows is None:
-        rows = np.arange(diffs.shape[0])
     n_iter = diffs.shape[1]
-    cut = np.clip(cut, 0, n_iter)
-    n_tail = (n_iter - cut).astype(np.int64)
-    safe_n = np.maximum(n_tail, 1)
+    cut = [min(max(c, 0), n_iter) for c in cut]
+    n_tail = [n_iter - c for c in cut]
     n_rows = len(rows)
-    if n_rows == 0:
-        zero = np.zeros(0)
-        return zero, zero.copy(), n_tail
-
-    c0 = int(cut.min())
-    if c0 >= n_iter:  # every tail empty
-        zero = np.zeros(n_rows)
-        return zero, zero.copy(), n_tail
+    c0 = min(cut, default=n_iter)
+    if c0 >= n_iter:  # every tail empty (or no rows)
+        return [0.0] * n_rows, [0.0] * n_rows, n_tail
 
     tail_width = n_iter - c0
     if n_rows == diffs.shape[0]:
@@ -169,111 +166,140 @@ def _suffix_stats(diffs: np.ndarray, cut: np.ndarray, rows=None):
     else:
         sub = block_scratch("suffix_sub", (n_rows, tail_width))
         np.take(diffs[:, c0:], rows, axis=0, out=sub)
-    local_cut = cut - c0
     sq = block_scratch("suffix_sq", (n_rows, tail_width))
     np.multiply(sub, sub, out=sq)
-    totals = sub.sum(axis=1)
-    sq_totals = sq.sum(axis=1)
+    # np.add.reduce is what ndarray.sum runs, minus its Python wrapper.
+    totals = np.add.reduce(sub, axis=1).tolist()
+    sq_totals = np.add.reduce(sq, axis=1).tolist()
 
     # Prefix sums are only gathered at cut-1, so the cumulative buffers
     # stop at the largest cut — the confirmation tail (often most of the
     # window) never pays for them.
-    n_prefix = int(local_cut.max())
-    gather = np.maximum(local_cut - 1, 0)[:, None]
+    local_cut = [c - c0 for c in cut]
+    n_prefix = max(local_cut)
     if n_prefix:
         csum = np.cumsum(sub[:, :n_prefix], axis=1)
         csq = np.cumsum(sq[:, :n_prefix], axis=1)
-        before = np.where(
-            local_cut > 0,
-            np.take_along_axis(csum, gather, axis=1).ravel(),
-            0.0,
-        )
-        before_sq = np.where(
-            local_cut > 0,
-            np.take_along_axis(csq, gather, axis=1).ravel(),
-            0.0,
-        )
-    else:
-        before = np.zeros(n_rows)
-        before_sq = np.zeros(n_rows)
-
-    tail_sum = totals - before
-    tail_sq = sq_totals - before_sq
-    mean = tail_sum / safe_n
-    var = np.maximum(tail_sq - safe_n * mean * mean, 0.0) / np.maximum(
-        safe_n - 1, 1
-    )
-    return mean, np.sqrt(var), n_tail
+    mean, std = [], []
+    for i, (lc, n) in enumerate(zip(local_cut, n_tail)):
+        if lc > 0:
+            tail_sum = totals[i] - csum.item(i, lc - 1)
+            tail_sq = sq_totals[i] - csq.item(i, lc - 1)
+        else:
+            tail_sum = totals[i] - 0.0
+            tail_sq = sq_totals[i] - 0.0
+        safe_n = max(n, 1)
+        m = tail_sum / safe_n
+        var = max(tail_sq - safe_n * m * m, 0.0) / max(safe_n - 1, 1)
+        mean.append(m)
+        std.append(math.sqrt(var))
+    return mean, std, n_tail
 
 
 def _detect(raw: RawSwitchData, target_stats: SampleStats, cfg: LatestConfig):
-    """Shared detection stage: masks, first-detection indices, statuses."""
+    """Single-pass detection: masks and first-detection indices."""
     starts = raw.timestamps.starts
     ends = raw.timestamps.ends
     diffs = ends - starts
-    n_sm, n_iter = diffs.shape
-    ts = raw.ts_acc
+    n_iter = diffs.shape[1]
 
     lo, hi = detection_band(target_stats, cfg)
 
+    ts = raw.ts_acc
     after = starts > ts
     candidate = after & (diffs >= lo) & (diffs <= hi)
-
-    status = np.full(n_sm, int(SmStatus.NO_DETECTION), dtype=np.int64)
     has_post = after.any(axis=1)
-    status[~has_post] = int(SmStatus.NO_POST_SWITCH)
-
     detected = candidate.any(axis=1)
     first = np.where(detected, np.argmax(candidate, axis=1), n_iter)
-    return diffs, ends, ts, status, has_post, detected, first
+    return diffs, ends, ts, has_post, detected, first
+
+
+def _classify(
+    has_post: np.ndarray,
+    detected: np.ndarray,
+    first: np.ndarray,
+    n_iter: int,
+    cfg: LatestConfig,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Pre-confirmation SM statuses, short-tail mask and tail cuts.
+
+    Tail statistics start after the detected iteration, so the tail
+    length — and with it the short-tail verdict — is known without
+    computing any statistics.  Works on any leading shape.
+    """
+    status = np.full(has_post.shape, int(SmStatus.NO_DETECTION), dtype=np.int64)
+    status[~has_post] = int(SmStatus.NO_POST_SWITCH)
+    cut = first + 1
+    n_tail = n_iter - np.clip(cut, 0, n_iter)
+    short = detected & (n_tail < cfg.min_confirm_tail)
+    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
+    status[short] = int(SmStatus.SHORT_TAIL)
+    return status, short, cut
 
 
 def _finish(
-    n_sm: int,
-    n_iter: int,
     ends: np.ndarray,
-    ts: float,
+    ts_list: "list[float]",
     status: np.ndarray,
     has_post: np.ndarray,
     detected: np.ndarray,
     short: np.ndarray,
     first: np.ndarray,
     valid: np.ndarray,
-) -> SwitchEvaluation:
-    """Shared epilogue: per-SM latencies and the overall outcome."""
+) -> list[SwitchEvaluation]:
+    """Shared epilogue: per-SM latencies and each pass's outcome.
+
+    Block arrays have a leading pass axis (a single evaluation passes a
+    block of one).  The per-SM arrays are filled block-wide; the
+    per-pass maximum and verdict run on Python floats and booleans.
+    """
+    n_pass, n_sm, n_iter = ends.shape
     status[valid] = int(SmStatus.OK)
 
-    per_sm = np.full(n_sm, np.nan)
-    rows = np.flatnonzero(valid)
-    if rows.size:
+    per_sm = np.full((n_pass, n_sm), np.nan)
+    latencies: list[list[float]] = [[] for _ in range(n_pass)]
+    b_idx, s_idx = np.nonzero(valid)
+    if b_idx.size:
         # Point-indexed gather: valid only ever holds detected rows, whose
-        # first-index is in range.  (A take_along_axis over the full ends
-        # matrix broke whenever only a strict subset of SMs confirmed.)
-        te = ends[rows, first[rows]]
-        per_sm[rows] = te - ts
-        latency = float(np.nanmax(per_sm))
-        te_overall = float(ts + latency)
-        reason = "ok"
-    else:
-        latency = None
-        te_overall = None
-        if not has_post.any():
-            reason = "no-post-switch-iterations"
-        elif not detected.any():
-            reason = "no-detection"
-        elif (detected & ~short).any():
-            reason = "confirmation-failed"
-        else:
-            reason = "short-tail"
+        # first-index is in range.
+        te = ends[b_idx, s_idx, first[b_idx, s_idx]]
+        te -= np.asarray(ts_list)[b_idx]
+        per_sm[b_idx, s_idx] = te
+        for b, latency in zip(b_idx.tolist(), te.tolist()):
+            latencies[b].append(latency)
+    detection = np.where(first < n_iter, first, -1)
+    any_post = has_post.any(axis=1).tolist()
+    any_detected = detected.any(axis=1).tolist()
+    any_long = (detected & ~short).any(axis=1).tolist()
 
-    return SwitchEvaluation(
-        latency_s=latency,
-        te_acc=te_overall,
-        per_sm_latency_s=per_sm,
-        sm_status=status,
-        detection_indices=np.where(first < n_iter, first, -1),
-        reason=reason,
-    )
+    evaluations = []
+    for b in range(n_pass):
+        if latencies[b]:
+            latency = max(latencies[b])
+            te_overall = ts_list[b] + latency
+            reason = "ok"
+        else:
+            latency = None
+            te_overall = None
+            if not any_post[b]:
+                reason = "no-post-switch-iterations"
+            elif not any_detected[b]:
+                reason = "no-detection"
+            elif any_long[b]:
+                reason = "confirmation-failed"
+            else:
+                reason = "short-tail"
+        evaluations.append(
+            SwitchEvaluation(
+                latency_s=latency,
+                te_acc=te_overall,
+                per_sm_latency_s=per_sm[b],
+                sm_status=status[b],
+                detection_indices=detection[b],
+                reason=reason,
+            )
+        )
+    return evaluations
 
 
 def evaluate_switch(
@@ -281,45 +307,16 @@ def evaluate_switch(
     target_stats: SampleStats,
     cfg: LatestConfig,
 ) -> SwitchEvaluation:
-    """Run the phase-3 evaluation over all recorded SMs (vectorized)."""
-    diffs, ends, ts, status, has_post, detected, first = _detect(
-        raw, target_stats, cfg
-    )
-    n_sm, n_iter = diffs.shape
+    """Run the phase-3 evaluation over all recorded SMs (vectorized).
 
-    # Tail statistics start after the detected iteration; tail length is
-    # known without computing any statistics.
-    cut = first + 1
-    n_tail = (n_iter - np.clip(cut, 0, n_iter)).astype(np.int64)
-
-    short = detected & (n_tail < cfg.min_confirm_tail)
-    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
-    status[short] = int(SmStatus.SHORT_TAIL)
-
-    # Confirmation: difference CI of (tail - target) includes zero, or the
-    # mean difference is inside the relative tolerance (Algorithm 2 l. 20),
-    # evaluated for every candidate SM at once.  Only candidate rows pay
-    # for suffix statistics.
-    confirm_rows = np.flatnonzero(detected & ~short)
-    valid = np.zeros(n_sm, dtype=bool)
-    if confirm_rows.size:
-        tail_mean, tail_std, tail_n = _suffix_stats(
-            diffs, cut[confirm_rows], rows=confirm_rows
-        )
-        # Variance via std*std (not the raw variance) to match the scalar
-        # reference path, which round-trips through SampleStats.
-        lb, hb = difference_ci_batch(
-            tail_mean, tail_std * tail_std, tail_n, target_stats, cfg.confidence
-        )
-        tol = cfg.tolerance_rel * target_stats.mean
-        ok = ((lb < 0.0) & (0.0 < hb)) | (
-            np.abs(tail_mean - target_stats.mean) < tol
-        )
-        valid[confirm_rows[ok]] = True
-
-    return _finish(
-        n_sm, n_iter, ends, ts, status, has_post, detected, short, first, valid
-    )
+    Detection runs on the single pass; confirmation and the epilogue are
+    the block path's, on a block of one.
+    """
+    diffs, ends, ts, has_post, detected, first = _detect(raw, target_stats, cfg)
+    return _confirm_and_finish(
+        diffs[None], ends[None], [ts], has_post[None], detected[None],
+        first[None], target_stats, cfg,
+    )[0]
 
 
 #: detection scans run in column chunks of this many iterations with an
@@ -414,65 +411,49 @@ def _confirm_and_finish(
     Reuses scratch buffers; callers must not retain ``diffs`` across the
     call.  ``detected``/``first``/``has_post`` come from the chunked
     prefix-scan detection front end in
-    :func:`evaluate_switch_block_deferred`.
+    :func:`evaluate_switch_block_deferred` (or from :func:`_detect`, as a
+    block of one).
     """
     n_pass, n_sm, n_iter = diffs.shape
+    status, short, cut = _classify(has_post, detected, first, n_iter, cfg)
 
-    status = np.full((n_pass, n_sm), int(SmStatus.NO_DETECTION), dtype=np.int64)
-    status[~has_post] = int(SmStatus.NO_POST_SWITCH)
-
-    cut = first + 1
-    n_tail = (n_iter - np.clip(cut, 0, n_iter)).astype(np.int64)
-    short = detected & (n_tail < cfg.min_confirm_tail)
-    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
-    status[short] = int(SmStatus.SHORT_TAIL)
-
+    # Confirmation: difference CI of (tail - target) includes zero, or the
+    # mean difference is inside the relative tolerance (Algorithm 2 l. 20).
     # Suffix statistics run per pass with exactly the per-pass row set and
-    # matrix slice the scalar ``evaluate_switch`` uses — the sub-matrix
-    # anchor (the pass-wide earliest cut) is part of the float-op sequence,
-    # so a block-wide anchor would produce ulp-different tail moments and
-    # break the bit-identity contract.  Only the Welch CI lookup, which is
-    # row-pure, batches across the whole block.
-    confirm = detected & ~short
-    per_pass_rows = [np.flatnonzero(confirm[b]) for b in range(n_pass)]
-    stats = [
-        _suffix_stats(diffs[b], cut[b][rows_b], rows=rows_b)
-        for b, rows_b in enumerate(per_pass_rows)
-        if rows_b.size
-    ]
+    # matrix slice of a single evaluation — the sub-matrix anchor (the
+    # pass's earliest cut) is part of the float-op sequence, so a
+    # block-wide anchor would produce ulp-different tail moments.  Only
+    # the Welch CI lookup, which is row-pure, batches across the block.
+    # Only candidate rows pay for suffix statistics.
+    b_idx, s_idx = np.nonzero(detected & ~short)
     valid = np.zeros((n_pass, n_sm), dtype=bool)
-    if stats:
-        tail_mean = np.concatenate([s[0] for s in stats])
-        tail_std = np.concatenate([s[1] for s in stats])
-        tail_n = np.concatenate([s[2] for s in stats])
+    if b_idx.size:
+        rows_by_pass: dict[int, list[int]] = {}
+        for b, row in zip(b_idx.tolist(), s_idx.tolist()):
+            rows_by_pass.setdefault(b, []).append(row)
+        cuts = cut.tolist()
+        tail_mean: list[float] = []
+        tail_var: list[float] = []
+        tail_n: list[int] = []
+        for b, rows in rows_by_pass.items():
+            mean, std, n = _suffix_stats(
+                diffs[b], [cuts[b][r] for r in rows], rows
+            )
+            tail_mean += mean
+            # Variance via std*std (not the raw variance) to match the
+            # scalar reference path, which round-trips through SampleStats.
+            tail_var += [x * x for x in std]
+            tail_n += n
         lb, hb = difference_ci_batch(
-            tail_mean, tail_std * tail_std, tail_n, target_stats, cfg.confidence
+            tail_mean, tail_var, tail_n, target_stats, cfg.confidence
         )
         tol = cfg.tolerance_rel * target_stats.mean
         ok = ((lb < 0.0) & (0.0 < hb)) | (
-            np.abs(tail_mean - target_stats.mean) < tol
+            np.abs(np.asarray(tail_mean) - target_stats.mean) < tol
         )
-        offset = 0
-        for b, rows_b in enumerate(per_pass_rows):
-            if rows_b.size:
-                valid[b, rows_b[ok[offset : offset + rows_b.size]]] = True
-                offset += rows_b.size
+        valid[b_idx, s_idx] = ok
 
-    return [
-        _finish(
-            n_sm,
-            n_iter,
-            ends[b],
-            ts_list[b],
-            status[b],
-            has_post[b],
-            detected[b],
-            short[b],
-            first[b],
-            valid[b],
-        )
-        for b in range(n_pass)
-    ]
+    return _finish(ends, ts_list, status, has_post, detected, short, first, valid)
 
 
 def evaluate_switch_reference(
@@ -487,25 +468,21 @@ def evaluate_switch_reference(
     equivalence tests can assert that the vectorized path produces
     identical statuses, latencies and reasons.
     """
-    diffs, ends, ts, status, has_post, detected, first = _detect(
-        raw, target_stats, cfg
-    )
+    diffs, ends, ts, has_post, detected, first = _detect(raw, target_stats, cfg)
     n_sm, n_iter = diffs.shape
+    status, short, _ = _classify(has_post, detected, first, n_iter, cfg)
 
-    tail_mean, tail_std, n_tail = _suffix_stats(diffs, first + 1)
-
-    short = detected & (n_tail < cfg.min_confirm_tail)
-    status[detected] = int(SmStatus.CONFIRMATION_FAILED)
-    status[short] = int(SmStatus.SHORT_TAIL)
-
+    tail_mean, tail_std, n_tail = _suffix_stats(
+        diffs, (first + 1).tolist(), list(range(n_sm))
+    )
     confirm_rows = np.flatnonzero(detected & ~short)
     valid = np.zeros(n_sm, dtype=bool)
     tol = cfg.tolerance_rel * target_stats.mean
     for i in confirm_rows:
         tail = SampleStats(
-            n=int(n_tail[i]),
-            mean=float(tail_mean[i]),
-            std=float(tail_std[i]),
+            n=n_tail[i],
+            mean=tail_mean[i],
+            std=tail_std[i],
             minimum=0.0,
             maximum=0.0,
         )
@@ -514,5 +491,6 @@ def evaluate_switch_reference(
             valid[i] = True
 
     return _finish(
-        n_sm, n_iter, ends, ts, status, has_post, detected, short, first, valid
-    )
+        ends[None], [ts], status[None], has_post[None], detected[None],
+        short[None], first[None], valid[None],
+    )[0]

@@ -17,6 +17,7 @@ and execution noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigError
 from repro.gpusim.device import KernelLaunchSpec
@@ -64,6 +65,14 @@ class MicrobenchmarkKernel:
             raise ConfigError("memory_intensity must be in [0, 1)")
 
     def launch_spec(self) -> KernelLaunchSpec:
+        """The device-side launch description (built once per kernel)."""
+        return self._launch_spec
+
+    @cached_property
+    def _launch_spec(self) -> KernelLaunchSpec:
+        # cached_property writes straight into __dict__, past the frozen
+        # dataclass guard; the memo is not a field (fingerprints and
+        # equality ignore it).
         return KernelLaunchSpec(
             n_iterations=self.n_iterations,
             cycles_per_iteration=self.cycles_per_iteration,

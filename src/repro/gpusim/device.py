@@ -20,6 +20,7 @@ explicitly supported; it is the heart of the paper's phase two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from repro.gpusim.sm import (
     DeviceTimestamps,
     KernelTimestamps,
     PendingIntegration,
+    completion_from_boundaries,
     merge_cap_segments,
     merge_memory_segments,
     prepare_integration_from_boundaries,
@@ -271,7 +273,7 @@ class GpuDevice:
         n_sm = handle.spec.sm_count or self.spec.sm_count
         n_sm = min(n_sm, self.spec.sm_count)
         stagger = self.rng.uniform(0.0, self.sm_start_stagger_s, size=n_sm)
-        starts = t_start + stagger
+        starts = [t_start + s for s in stagger.tolist()]
         # RNG draws and clock advance happen here (the scalar-exact part);
         # the full per-iteration inversion is deferred until the kernel's
         # timestamps are actually read.  The segments are compiled now —
@@ -279,7 +281,7 @@ class GpuDevice:
         # so the deferred inversion sees the exact segments the eager one
         # would have.
         tb, f_mhz = self._effective_segments(
-            float(starts.min()), handle.spec.memory_intensity
+            min(starts), handle.spec.memory_intensity
         )
         if handle.spec.aggregate:
             completion = self._finalize_aggregate(handle, n_sm, starts, tb, f_mhz)
@@ -306,9 +308,9 @@ class GpuDevice:
         self,
         handle: KernelHandle,
         n_sm: int,
-        starts: np.ndarray,
-        tb: np.ndarray,
-        f_mhz: np.ndarray,
+        starts: list[float],
+        tb: list[float],
+        f_mhz: list[float],
     ) -> float:
         """Completion time of an untimed (aggregate-fidelity) kernel.
 
@@ -322,33 +324,33 @@ class GpuDevice:
         sigma_total = (
             self.spec.iteration_noise_rel
             * spec.cycles_per_iteration
-            * float(np.sqrt(n))
+            * math.sqrt(n)
         )
-        totals = self.rng.standard_normal(n_sm)
-        totals *= sigma_total
-        totals += mean_total
-        np.maximum(totals, 0.01 * mean_total, out=totals)
+        floor = 0.01 * mean_total
+        totals = [
+            max(z * sigma_total + mean_total, floor)
+            for z in self.rng.standard_normal(n_sm).tolist()
+        ]
         if n_sm == 1 and len(f_mhz) <= 2:
-            # Scalar fast path for the common filler shape (one SM, at
-            # most one frequency change ahead): a handful of float ops
-            # instead of the array integration pipeline.
-            t0 = float(starts[0])
-            total = float(totals[0])
-            f0 = float(f_mhz[0]) * 1e6
-            if len(f_mhz) == 1 or t0 + total / f0 <= float(tb[1]):
+            # Closed form for the common filler shape (one SM, at most one
+            # frequency change ahead).
+            t0 = starts[0]
+            total = totals[0]
+            f0 = f_mhz[0] * 1e6
+            if len(f_mhz) == 1 or t0 + total / f0 <= tb[1]:
                 end = t0 + total / f0
             else:
-                spent = (float(tb[1]) - t0) * f0
-                end = float(tb[1]) + (total - spent) / (float(f_mhz[1]) * 1e6)
+                spent = (tb[1] - t0) * f0
+                end = tb[1] + (total - spent) / (f_mhz[1] * 1e6)
             return end + _KERNEL_EPILOGUE_S
-        pending = prepare_integration_from_boundaries(
-            tb, f_mhz, starts, totals[:, None]
+        return (
+            completion_from_boundaries(tb, f_mhz, starts, totals)
+            + _KERNEL_EPILOGUE_S
         )
-        return pending.completion_true + _KERNEL_EPILOGUE_S
 
     def _effective_segments(
         self, t0: float, memory_intensity: float
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[list[float], list[float]]:
         """SM segments with the memory-clock stall model folded in.
 
         While the memory domain is untouched (``_memory_static``) or the
@@ -368,15 +370,17 @@ class GpuDevice:
                     self.thermal.sustainable_clock_mhz(cap_w), dtype=np.float64
                 )
                 tb, f_mhz = merge_cap_segments(tb, f_mhz, cap_tb, caps)
+                tb, f_mhz = tb.tolist(), f_mhz.tolist()
         if self._memory_static or memory_intensity <= 0.0:
             return tb, f_mhz
         mem_tb, mem_f = self.mem_dvfs.compiled_segments(t0)
         if len(mem_f) == 1 and mem_f[0] == self.spec.memory_frequency_mhz:
             return tb, f_mhz
-        return merge_memory_segments(
+        tb, f_mhz = merge_memory_segments(
             tb, f_mhz, mem_tb, mem_f, memory_intensity,
             self.spec.memory_frequency_mhz,
         )
+        return tb.tolist(), f_mhz.tolist()
 
     def read_timestamps(self, handle: KernelHandle) -> DeviceTimestamps:
         """Read the kernel's iteration timestamp buffers (GPU-clock view).
@@ -638,7 +642,7 @@ class GpuDevice:
         total_cycles = (
             handle.spec.cycles_per_iteration
             * n
-            * (1.0 + 6.0 * self.spec.iteration_noise_rel / max(np.sqrt(n), 1.0))
+            * (1.0 + 6.0 * self.spec.iteration_noise_rel / max(math.sqrt(n), 1.0))
         )
         # Pessimistic rate: the lowest frequency the trajectory can reach.
         f_min_mhz = self.spec.idle_sm_frequency_mhz

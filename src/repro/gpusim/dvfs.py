@@ -31,6 +31,7 @@ immediately and the domain neither idles nor wakes).
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,6 @@ class MemoryDomainSpec:
     def nearest_supported_clock(self, freq_mhz: float) -> float:
         return self.gpu_spec.nearest_supported_memory_clock(freq_mhz)
 
-    def nearest_supported_clocks(self, freqs_mhz: np.ndarray) -> np.ndarray:
-        return self.gpu_spec.nearest_supported_memory_clocks(freqs_mhz)
-
 
 class PowerDomainSpec:
     """Ladder adapter exposing a spec's *power limits* to the state machine.
@@ -98,20 +96,16 @@ class PowerDomainSpec:
     def nearest_supported_clock(self, limit_w: float) -> float:
         return self.gpu_spec.nearest_supported_power_limit(limit_w)
 
-    def nearest_supported_clocks(self, limits_w: np.ndarray) -> np.ndarray:
-        return self.gpu_spec.nearest_supported_power_limits(limits_w)
-
 
 #: interior points of linspace(0, 1, n+2) for the handful of ramp step
 #: counts the staircase can draw — rebuilt arrays dominated ramp cost
-_RAMP_FRACTIONS: dict[int, np.ndarray] = {}
+_RAMP_FRACTIONS: dict[int, list[float]] = {}
 
 
-def _ramp_fractions(n_steps: int) -> np.ndarray:
+def _ramp_fractions(n_steps: int) -> list[float]:
     fracs = _RAMP_FRACTIONS.get(n_steps)
     if fracs is None:
-        fracs = np.linspace(0, 1, n_steps + 2)[1:-1]
-        fracs.setflags(write=False)
+        fracs = np.linspace(0, 1, n_steps + 2)[1:-1].tolist()
         _RAMP_FRACTIONS[n_steps] = fracs
     return fracs
 
@@ -302,13 +296,16 @@ class DvfsClockDomain:
         """Insert the adaptation staircase ending exactly at ``t_stable``."""
         n_steps = int(self.rng.integers(2, 6))
         if adaptation_s > 0.0 and n_steps > 0:
-            fracs = np.sort(self.rng.uniform(0.15, 0.9, size=n_steps))
-            times = t_stable - adaptation_s * (1.0 - _ramp_fractions(n_steps))
-            freqs = self.spec.nearest_supported_clocks(
-                init_mhz + (target_mhz - init_mhz) * fracs
-            )
-            for f, ts in zip(freqs, times):
-                self._insert_event(float(ts), float(f))
+            # One batched draw, then float arithmetic per step: the
+            # staircase has 2-5 steps, too few to pay for array calls.
+            fracs = sorted(self.rng.uniform(0.15, 0.9, size=n_steps).tolist())
+            span = target_mhz - init_mhz
+            snap = self.spec.nearest_supported_clock
+            for frac, ramp in zip(fracs, _ramp_fractions(n_steps)):
+                self._insert_event(
+                    t_stable - adaptation_s * (1.0 - ramp),
+                    snap(init_mhz + span * frac),
+                )
         self._insert_event(t_stable, target_mhz)
 
     # ------------------------------------------------------------------
@@ -445,8 +442,8 @@ class DvfsClockDomain:
             events.append((t, min(self.planned_freq_at(t), self.cap_at(t))))
         return FrequencyTrajectory.from_events(t0, f0, events)
 
-    def compiled_segments(self, t0: float) -> tuple[np.ndarray, np.ndarray]:
-        """Effective-frequency segments from ``t0`` as boundary arrays.
+    def compiled_segments(self, t0: float) -> tuple[list[float], list[float]]:
+        """Effective-frequency segments from ``t0`` as boundary lists.
 
         Returns ``(tb, f_mhz)``: ``tb`` has one boundary per segment plus a
         trailing ``+inf``, ``f_mhz`` the per-segment frequency in MHz.  The
@@ -455,7 +452,7 @@ class DvfsClockDomain:
         straight from the sorted event/cap timelines, without materializing
         :class:`~repro.gpusim.trajectory.FrequencyTrajectory` objects.
         This is the hot-path form the SM integrator consumes for every
-        kernel finalization.
+        kernel finalization; the lists go to it as they are.
         """
         events_after = self._event_times[
             bisect.bisect_right(self._event_times, t0):
@@ -472,11 +469,8 @@ class DvfsClockDomain:
             fs.append(cur_f)
             cur_f = f
         fs.append(cur_f)
-        tb.append(float("inf"))
-        return (
-            np.asarray(tb, dtype=np.float64),
-            np.asarray(fs, dtype=np.float64),
-        )
+        tb.append(math.inf)
+        return tb, fs
 
     def last_transition(self) -> TransitionRecord | None:
         """Most recent locked-clock transition (ignoring wake-ups)."""

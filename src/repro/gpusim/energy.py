@@ -42,6 +42,16 @@ class EnergyMeter:
         The clock domain whose effective frequency drives dynamic power.
     start_time:
         Epoch of the counter.
+
+    The figures are *uncapped* by the power-limit axis: the meter
+    integrates ``dvfs.effective_freq_at``, which includes the thermal and
+    software power caps applied to the SM domain but not the enforced
+    power-limit cap that kernel integration folds in
+    (:func:`repro.gpusim.sm.merge_cap_segments`).  Under a lowered power
+    limit the meter therefore charges the locked clock's power, not the
+    capped clock's.  The memory power term is a linear share of the
+    budget (:meth:`~repro.gpusim.thermal.ThermalModel.power_watts`), not a
+    model of the memory subsystem.
     """
 
     thermal: ThermalModel

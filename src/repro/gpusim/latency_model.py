@@ -23,6 +23,7 @@ what creates the manufacturing variability analysed in paper Figs. 7-9.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
@@ -86,22 +87,20 @@ class PairLatencyModel:
         return w / w.sum()
 
     @cached_property
-    def _cum_weights(self) -> np.ndarray:
+    def _cum_weights(self) -> list[float]:
         # cached_property writes straight into __dict__, which bypasses the
         # frozen-dataclass __setattr__ guard — the cache is per instance.
-        return np.cumsum(self.weights)
+        return np.cumsum(self.weights).tolist()
 
     def sample(self, rng: np.random.Generator) -> "LatencySample":
         """Draw one switching latency.
 
         Mode selection inverts the cached cumulative weights with a single
-        uniform draw — equivalent to (and much cheaper than) a categorical
+        uniform draw (``bisect_right`` is ``searchsorted(side="right")``)
+        — equivalent to (and much cheaper than) a categorical
         ``rng.choice`` per sample.
         """
-        idx = min(
-            int(np.searchsorted(self._cum_weights, rng.random(), side="right")),
-            len(self.modes) - 1,
-        )
+        idx = min(bisect_right(self._cum_weights, rng.random()), len(self.modes) - 1)
         mode = self.modes[idx]
         latency = mode.median_s * float(
             np.exp(mode.sigma_log * rng.standard_normal())

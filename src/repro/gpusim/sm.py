@@ -13,10 +13,14 @@ so every iteration boundary can be computed in closed form::
     start[i, k] = end[i, k-1]                      (back-to-back)
 
 This is exact — iterations that straddle frequency changes are implicitly
-split across segments by the piecewise inversion — and runs as three numpy
-``searchsorted``/gather passes over the whole (SM × iteration) matrix with
-no Python-level loops.  A scalar reference implementation is provided for
-property-based equivalence testing.
+split across segments by the piecewise inversion.  The matrix work is one
+row-wise cumulative sum and one row-wise inversion: each row is bisected
+against the segment boundaries, and each run of iterations inside one
+segment maps through one multiply-add.  The per-kernel prelude — segment
+compilation, every SM's start integral, the last-boundary inversion —
+handles 1-8 segments and a few SMs, so it runs on Python floats, applying
+the float64 operations of the array form it replaced.  A scalar reference
+implementation is provided for property-based equivalence testing.
 
 Integration is split in two stages so the hot campaign path can defer the
 expensive part.  :func:`prepare_integration` consumes the RNG-dependent
@@ -24,7 +28,7 @@ inputs (cycle draws) immediately, compiles the trajectory, and computes
 only the *last* iteration boundary per SM — enough for the kernel
 completion time that drives the machine clock.  The full per-iteration
 inversion and the device-view conversion happen lazily in
-:meth:`PendingIntegration.materialize`, which kernels whose timestamps are
+:meth:`PendingIntegration.ends_true`, which kernels whose timestamps are
 never read (filler workloads, rolled-back speculative passes) simply never
 call.  The split is bit-exact: the deferred inversion applies the same
 elementwise operation sequence to the same cumulative-cycle buffer, so the
@@ -34,7 +38,10 @@ float for float.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,6 +51,7 @@ from repro.gpusim.trajectory import FrequencyTrajectory
 __all__ = [
     "KernelTimestamps",
     "PendingIntegration",
+    "completion_from_boundaries",
     "integrate_iterations",
     "integrate_iterations_reference",
     "memory_stall_factor",
@@ -96,8 +104,10 @@ def merge_memory_segments(
     iteration time responds to both domains.
     """
     t_all, i_sm, i_mem = _union_segment_indices(tb, f_mhz, mem_tb, mem_f_mhz)
-    stall = memory_stall_factor(mem_f_mhz[i_mem], mem_ref_mhz, memory_intensity)
-    return np.append(t_all, np.inf), f_mhz[i_sm] / stall
+    stall = memory_stall_factor(
+        np.asarray(mem_f_mhz)[i_mem], mem_ref_mhz, memory_intensity
+    )
+    return np.append(t_all, np.inf), np.asarray(f_mhz)[i_sm] / stall
 
 
 def merge_cap_segments(
@@ -115,7 +125,9 @@ def merge_cap_segments(
     the integrator consumes cycles at.
     """
     t_all, i_sm, i_cap = _union_segment_indices(tb, f_mhz, cap_tb, cap_mhz)
-    return np.append(t_all, np.inf), np.minimum(f_mhz[i_sm], cap_mhz[i_cap])
+    return np.append(t_all, np.inf), np.minimum(
+        np.asarray(f_mhz)[i_sm], np.asarray(cap_mhz)[i_cap]
+    )
 
 
 def _union_segment_indices(
@@ -232,19 +244,45 @@ def sample_iteration_cycles(
 
 def _compile_trajectory(
     trajectory: FrequencyTrajectory, t0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float], list[float]]:
     """Segment boundary times, frequencies (Hz) and cumulative cycles from t0."""
     segs = list(trajectory.iter_from(t0))
-    tb = np.array([s.t_start for s in segs] + [segs[-1].t_end], dtype=np.float64)
-    f_hz = np.array([s.freq_hz for s in segs], dtype=np.float64)
-    if np.any(f_hz <= 0):
+    tb = [float(s.t_start) for s in segs] + [float(segs[-1].t_end)]
+    f_hz = [float(s.freq_mhz) * 1e6 for s in segs]
+    return tb, f_hz, _cumulative_cycles(tb, f_hz)
+
+
+def _cumulative_cycles(tb: list[float], f_hz: list[float]) -> list[float]:
+    """Cycle integral ``G`` at every segment boundary, ``G(tb[0]) = 0``.
+
+    The final (possibly infinite) segment contributes an infinite capacity.
+    Segment lists hold 1-8 entries, so this runs on Python floats: the
+    products and the left-to-right running sum are the float64 operations
+    ``np.cumsum`` applies.
+    """
+    if any(f <= 0 for f in f_hz):
         raise SimulationError("non-positive frequency in trajectory")
-    # Cumulative cycles at each boundary; the final (possibly infinite)
-    # segment contributes an infinite capacity.
-    spans = np.diff(tb)
-    seg_cycles = np.where(np.isinf(spans), np.inf, spans * f_hz)
-    g = np.concatenate([[0.0], np.cumsum(seg_cycles)])
-    return tb, f_hz, g
+    seg_cycles = []
+    for k, f in enumerate(f_hz):
+        span = tb[k + 1] - tb[k]
+        seg_cycles.append(math.inf if math.isinf(span) else span * f)
+    return [0.0, *accumulate(seg_cycles)]
+
+
+def _affine_inverse(
+    tb: list[float], f_hz: list[float], g: list[float]
+) -> tuple[list[float], list[float]]:
+    """Per-segment folded inverse ``t = c * inv_f + shift`` of ``G``.
+
+    The per-segment map ``(c - g_j) / f_j + tb_j`` becomes
+    ``c * (1/f_j) + (tb_j - g_j / f_j)``: one multiply and one add per
+    element.  Both inversions — the scalar last boundary in
+    :func:`_prepare_from_compiled` and the row-wise matrix pass in
+    :meth:`PendingIntegration.ends_true` — take their constants from here.
+    """
+    inv_f = [1.0 / f for f in f_hz]
+    shift = [t - gj * i for t, gj, i in zip(tb, g, inv_f)]
+    return inv_f, shift
 
 
 @dataclass
@@ -252,28 +290,32 @@ class PendingIntegration:
     """Deferred iteration-boundary integration for one kernel.
 
     Holds the compiled trajectory (boundary times ``tb``, segment
-    frequencies ``f_hz``, cumulative cycles ``g``), the per-SM start times
-    and cycle-integral offsets, and the cumulative cycle matrix.  The last
-    iteration boundary of every SM — all the device needs for the
-    completion time — is computed eagerly by :func:`prepare_integration`;
-    the full matrix inversion runs only on :meth:`materialize`, which is
-    idempotent (the result is cached, the cumulative buffer consumed).
+    frequencies ``f_hz``, cumulative cycles ``g``, and the folded inverse
+    ``inv_f``/``shift``), the per-SM start times and cycle-integral
+    offsets, and the cumulative cycle matrix.  These per-kernel scalars
+    are Python float lists.  The last iteration boundary of every SM — all
+    the device needs for the completion time — is computed eagerly by
+    :func:`prepare_integration`; the full matrix inversion runs only on
+    :meth:`ends_true`, which is idempotent (the result is cached, the
+    cumulative buffer consumed).
     """
 
-    tb: np.ndarray
-    f_hz: np.ndarray
-    g: np.ndarray
-    sm_start_times: np.ndarray
-    g_start: np.ndarray
+    tb: list[float]
+    f_hz: list[float]
+    g: list[float]
+    inv_f: list[float]
+    shift: list[float]
+    sm_start_times: list[float]
+    g_start: list[float]
     cycles_cum: np.ndarray | None
-    last_ends_true: np.ndarray
+    last_ends_true: list[float]
     _ends: np.ndarray | None = field(default=None, repr=False)
     _result: KernelTimestamps | None = field(default=None, repr=False)
 
     @property
     def completion_true(self) -> float:
         """True time when the last SM retires its last iteration."""
-        return float(self.last_ends_true.max())
+        return max(self.last_ends_true)
 
     @property
     def cycles_shape(self) -> tuple[int, int]:
@@ -282,57 +324,41 @@ class PendingIntegration:
         assert buf is not None
         return buf.shape
 
-    def _invert(
-        self, c_abs: np.ndarray, rows_sorted: bool = False
-    ) -> np.ndarray:
+    def _invert(self, c_abs: np.ndarray) -> np.ndarray:
         """Map absolute cycle targets to true times (in place on c_abs).
 
-        The per-segment map ``(c - g_j) / f_j + tb_j`` is folded into the
-        affine form ``c * (1/f_j) + (tb_j - g_j / f_j)`` — two gathers and
-        two element passes instead of three of each.
-
-        ``rows_sorted=True`` asserts every row of a 2-D input is
-        nondecreasing (cumulative cycle rows always are): the segment of
-        each element is then found by bisecting the row against the
-        segment boundaries — ``O(n_seg log n)`` lookups per row instead of
-        ``O(n log n_seg)`` — and each contiguous run maps through the same
-        scalar multiply+add the gathered path applies elementwise, so the
-        results are bit-identical.
+        Every row of ``c_abs`` is nondecreasing (cumulative cycle rows
+        always are), so the segment of each element is found by bisecting
+        the row against the segment boundaries — ``O(n_seg log n)``
+        lookups per row — and each contiguous run maps through the
+        segment's scalar multiply+add (see :func:`_affine_inverse`).
         """
         n_seg = len(self.f_hz)
-        inv_f = 1.0 / self.f_hz
-        shift = self.tb[:n_seg] - self.g[:n_seg] * inv_f
+        inv_f, shift = self.inv_f, self.shift
         if n_seg == 1:
             # Constant-frequency fast path (fillers, post-settle kernels):
-            # the inversion is a single linear map, so the searchsorted/
-            # gather passes degenerate.
+            # the inversion is a single linear map.
             c_abs *= inv_f[0]
             c_abs += shift[0]
             return c_abs
-        if rows_sorted and c_abs.ndim == 2:
-            # An element belongs to segment s when it reaches g[s] but not
-            # g[s+1] (``side="right"`` semantics of the gathered path:
-            # boundary-valued elements and elements past the last boundary
-            # land in the later/last segment, zero-capacity segments get
-            # empty runs).
-            for row in c_abs:
-                bounds = np.searchsorted(row, self.g[1:n_seg], side="left")
-                prev = 0
-                for s in range(n_seg):
-                    hi = int(bounds[s]) if s < n_seg - 1 else row.size
-                    if hi > prev:
-                        seg = row[prev:hi]
-                        seg *= inv_f[s]
-                        seg += shift[s]
-                        prev = hi
-            return c_abs
-        shape = c_abs.shape
-        flat = c_abs.reshape(-1)
-        j = np.searchsorted(self.g, flat, side="right") - 1
-        j = np.minimum(j, n_seg - 1)
-        flat *= inv_f[j]
-        flat += shift[j]
-        return flat.reshape(shape)
+        # An element belongs to segment s when it reaches g[s] but not
+        # g[s+1] (``bisect_right`` semantics of the last-boundary
+        # inversion: boundary-valued elements and elements past the last
+        # boundary land in the later/last segment, zero-capacity segments
+        # get empty runs).
+        inner = np.asarray(self.g[1:n_seg])
+        for row in c_abs:
+            bounds = row.searchsorted(inner, side="left").tolist()
+            bounds.append(row.size)
+            prev = 0
+            for s in range(n_seg):
+                hi = bounds[s]
+                if hi > prev:
+                    seg = row[prev:hi]
+                    seg *= inv_f[s]
+                    seg += shift[s]
+                    prev = hi
+        return c_abs
 
     def ends_true(self) -> np.ndarray:
         """All iteration-end boundaries (full inversion, cached).
@@ -346,10 +372,10 @@ class PendingIntegration:
         assert self.cycles_cum is not None, "pending buffers already consumed"
         c_abs = self.cycles_cum
         self.cycles_cum = None  # consumed in place below
-        c_abs += self.g_start[:, None]
+        c_abs += np.asarray(self.g_start)[:, None]
         # Cumulative cycle rows are nondecreasing (cycle draws are floored
         # strictly above zero), so the row-bisecting inversion applies.
-        self._ends = self._invert(c_abs, rows_sorted=True)
+        self._ends = self._invert(c_abs)
         return self._ends
 
     def materialize(self) -> KernelTimestamps:
@@ -389,19 +415,18 @@ def prepare_integration(
     if cycles.ndim != 2 or sm_start_times.shape != (cycles.shape[0],):
         raise SimulationError("shape mismatch between start times and cycles")
 
-    t0 = float(sm_start_times.min())
-    tb, f_hz, g = _compile_trajectory(trajectory, t0)
-    return _prepare_from_compiled(tb, f_hz, g, sm_start_times, cycles)
+    tb, f_hz, g = _compile_trajectory(trajectory, float(sm_start_times.min()))
+    return _prepare_from_compiled(tb, f_hz, g, sm_start_times.tolist(), cycles)
 
 
 def prepare_integration_from_boundaries(
-    tb: np.ndarray,
-    f_mhz: np.ndarray,
-    sm_start_times: np.ndarray,
+    tb: list[float],
+    f_mhz: list[float],
+    sm_start_times: list[float],
     cycles: np.ndarray,
     consume: bool = False,
 ) -> PendingIntegration:
-    """Boundary-array twin of :func:`prepare_integration`.
+    """Boundary-list twin of :func:`prepare_integration`.
 
     Consumes the segment form :meth:`DvfsClockDomain.compiled_segments`
     produces (boundary times with trailing ``inf``, per-segment MHz) —
@@ -412,55 +437,99 @@ def prepare_integration_from_boundaries(
     cumulates in place into the caller's ``cycles`` buffer (the device
     passes freshly drawn matrices it never rereads).
     """
-    f_hz = f_mhz * 1e6
-    if np.any(f_hz <= 0):
-        raise SimulationError("non-positive frequency in trajectory")
-    spans = np.diff(tb)
-    seg_cycles = np.where(np.isinf(spans), np.inf, spans * f_hz)
-    g = np.concatenate([[0.0], np.cumsum(seg_cycles)])
+    f_hz = [f * 1e6 for f in f_mhz]
     return _prepare_from_compiled(
-        tb, f_hz, g, sm_start_times, cycles, consume=consume
+        tb, f_hz, _cumulative_cycles(tb, f_hz), sm_start_times, cycles,
+        consume=consume,
     )
 
 
 def _prepare_from_compiled(
-    tb: np.ndarray,
-    f_hz: np.ndarray,
-    g: np.ndarray,
-    sm_start_times: np.ndarray,
+    tb: list[float],
+    f_hz: list[float],
+    g: list[float],
+    sm_start_times: list[float],
     cycles: np.ndarray,
     consume: bool = False,
 ) -> PendingIntegration:
-    sm_start_times = np.asarray(sm_start_times, dtype=np.float64)
     cycles = np.asarray(cycles, dtype=np.float64)
-    if cycles.ndim != 2 or sm_start_times.shape != (cycles.shape[0],):
+    if cycles.ndim != 2 or len(sm_start_times) != cycles.shape[0]:
         raise SimulationError("shape mismatch between start times and cycles")
-    if len(f_hz) == 1:
-        g_start = g[0] + (sm_start_times - tb[0]) * f_hz[0]
-    else:
-        # Cycle-integral value at each SM's start time.
-        idx0 = np.searchsorted(tb, sm_start_times, side="right") - 1
-        idx0 = np.minimum(idx0, len(f_hz) - 1)
-        g_start = g[idx0] + (sm_start_times - tb[idx0]) * f_hz[idx0]
-
+    g_start = _start_integrals(tb, f_hz, g, sm_start_times)
     cycles_cum = np.cumsum(cycles, axis=1, out=cycles if consume else None)
-
-    pending = PendingIntegration(
+    inv_f, shift = _affine_inverse(tb, f_hz, g)
+    # The last boundary per SM: the same (cum + g_start) then invert
+    # sequence the materialized path applies to every column, restricted
+    # to the final one — bit-identical to ends[:, -1].
+    last_ends = _invert_scalars(
+        g, inv_f, shift, cycles_cum[:, -1].tolist(), g_start
+    )
+    return PendingIntegration(
         tb=tb,
         f_hz=f_hz,
         g=g,
+        inv_f=inv_f,
+        shift=shift,
         sm_start_times=sm_start_times,
         g_start=g_start,
         cycles_cum=cycles_cum,
-        last_ends_true=np.empty(0),
+        last_ends_true=last_ends,
     )
-    # The last boundary per SM: the same (cum + g_start) then invert
-    # elementwise sequence the materialized path applies to every column,
-    # restricted to the final one — bit-identical to ends[:, -1].
-    pending.last_ends_true = pending._invert(
-        cycles_cum[:, -1] + g_start
-    )
-    return pending
+
+
+def _start_integrals(
+    tb: list[float], f_hz: list[float], g: list[float], sm_start_times: list[float]
+) -> list[float]:
+    """Cycle-integral value ``G`` at each SM's start time.
+
+    Like the array form ``searchsorted(tb, t, side="right") - 1`` clipped
+    to the last segment, a start before tb[0] indexes -1 (the last
+    segment).
+    """
+    n_seg = len(f_hz)
+    g_start = []
+    for t in sm_start_times:
+        j = 0 if n_seg == 1 else min(bisect_right(tb, t) - 1, n_seg - 1)
+        g_start.append(g[j] + (t - tb[j]) * f_hz[j])
+    return g_start
+
+
+def _invert_scalars(
+    g: list[float],
+    inv_f: list[float],
+    shift: list[float],
+    cycles: list[float],
+    g_start: list[float],
+) -> list[float]:
+    """True times at which each SM's cycle integral reaches ``g_start +
+    cycles`` (one value per SM), by bisection on ``g``."""
+    n_seg = len(inv_f)
+    ends = []
+    for c, gs in zip(cycles, g_start):
+        c += gs
+        j = 0 if n_seg == 1 else min(bisect_right(g, c) - 1, n_seg - 1)
+        ends.append(c * inv_f[j] + shift[j])
+    return ends
+
+
+def completion_from_boundaries(
+    tb: list[float],
+    f_mhz: list[float],
+    sm_start_times: list[float],
+    cycle_totals: list[float],
+) -> float:
+    """True time at which the last SM has spent its cycle total.
+
+    The aggregate-kernel form of :func:`prepare_integration_from_boundaries`
+    with one cycle column: the cumulative sum of a single column is the
+    column itself, so this is that prelude's completion time, float for
+    float, without the array scaffolding.
+    """
+    f_hz = [f * 1e6 for f in f_mhz]
+    g = _cumulative_cycles(tb, f_hz)
+    inv_f, shift = _affine_inverse(tb, f_hz, g)
+    g_start = _start_integrals(tb, f_hz, g, sm_start_times)
+    return max(_invert_scalars(g, inv_f, shift, cycle_totals, g_start))
 
 
 def integrate_iterations(

@@ -25,6 +25,7 @@ SM clock steps         120           81          110
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,12 +35,38 @@ from repro.errors import ConfigError
 
 __all__ = [
     "GpuSpec",
+    "snap_to_ladder",
     "RTX_QUADRO_6000",
     "A100_SXM4",
     "GH200",
     "GPU_MODELS",
     "lookup_spec",
 ]
+
+
+def snap_to_ladder(ascending: tuple[float, ...], x: float) -> float:
+    """The entry of an ascending ladder nearest to ``x``.
+
+    Scalar twin of ``ladder[np.argmin(np.abs(ladder - x))]`` over the
+    descending (NVML-ordered) ladder, result for result: ``argmin`` keeps
+    the first minimum, i.e. the *largest* entry at the minimum distance.
+    The float distances ``|c - x|`` never shrink moving away from ``x``
+    on either side, so the entries at the minimum distance form runs next
+    to the bisection point: the lower neighbour when it is strictly
+    nearer, otherwise the top of the run that starts at the upper
+    neighbour (longer than one entry only when ``x`` is so far off the
+    ladder that the subtraction rounds the spacing away).  A NaN ``x``
+    bisects past the top, as its all-NaN ``argmin`` picks index 0.
+    """
+    i = bisect_right(ascending, x)
+    n = len(ascending)
+    if i < n:
+        d_up = abs(ascending[i] - x)
+        if i == 0 or d_up <= abs(ascending[i - 1] - x):
+            while i + 1 < n and abs(ascending[i + 1] - x) == d_up:
+                i += 1
+            return ascending[i]
+    return ascending[i - 1]
 
 
 @dataclass(frozen=True)
@@ -133,32 +160,23 @@ class GpuSpec:
         return np.asarray(self.supported_clocks_mhz)
 
     @cached_property
-    def _nearest_clock_memo(self) -> dict[float, float]:
-        return {}
+    def _clock_ladder_ascending(self) -> tuple[float, ...]:
+        return self.supported_clocks_mhz[::-1]
 
     def nearest_supported_clock(self, freq_mhz: float) -> float:
-        """Snap ``freq_mhz`` to the closest ladder entry (memoized).
+        """Snap ``freq_mhz`` to the closest ladder entry.
 
-        The memo is bounded: ramp staircases query continuous random
-        frequencies (near-zero hit rate), and the concrete specs are
-        module-level singletons that live for the whole process.
+        The scalar twin of :meth:`nearest_supported_clocks`, by bisection
+        (:func:`snap_to_ladder`): the DVFS layer snaps every locked-clocks
+        request and ramp step.
         """
-        memo = self._nearest_clock_memo
-        nearest = memo.get(freq_mhz)
-        if nearest is None:
-            clocks = self._clock_ladder_array
-            nearest = float(clocks[np.argmin(np.abs(clocks - freq_mhz))])
-            if len(memo) >= 4096:
-                memo.clear()
-            memo[freq_mhz] = nearest
-        return nearest
+        return snap_to_ladder(self._clock_ladder_ascending, freq_mhz)
 
     def nearest_supported_clocks(self, freqs_mhz: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`nearest_supported_clock` for small batches.
+        """Vectorized :meth:`nearest_supported_clock`.
 
-        Same tie-breaking (first ladder entry at minimum distance), one
-        argmin sweep instead of a Python call per frequency — used by the
-        DVFS ramp scheduler.
+        Tie-breaking: the first ladder entry (NVML order, descending) at
+        minimum distance.
         """
         clocks = self._clock_ladder_array
         freqs_mhz = np.asarray(freqs_mhz, dtype=np.float64)
@@ -211,10 +229,13 @@ class GpuSpec:
     def _memory_ladder_array(self) -> np.ndarray:
         return np.asarray(self.supported_memory_clocks_mhz)
 
+    @cached_property
+    def _memory_ladder_ascending(self) -> tuple[float, ...]:
+        return self.supported_memory_clocks_mhz[::-1]
+
     def nearest_supported_memory_clock(self, freq_mhz: float) -> float:
         """Snap ``freq_mhz`` to the closest memory-ladder entry."""
-        clocks = self._memory_ladder_array
-        return float(clocks[np.argmin(np.abs(clocks - freq_mhz))])
+        return snap_to_ladder(self._memory_ladder_ascending, freq_mhz)
 
     def nearest_supported_memory_clocks(self, freqs_mhz: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`nearest_supported_memory_clock`."""
@@ -254,10 +275,13 @@ class GpuSpec:
     def _power_ladder_array(self) -> np.ndarray:
         return np.asarray(self.supported_power_limits_w)
 
+    @cached_property
+    def _power_ladder_ascending(self) -> tuple[float, ...]:
+        return self.supported_power_limits_w[::-1]
+
     def nearest_supported_power_limit(self, limit_w: float) -> float:
         """Snap ``limit_w`` to the closest power-ladder entry."""
-        limits = self._power_ladder_array
-        return float(limits[np.argmin(np.abs(limits - limit_w))])
+        return snap_to_ladder(self._power_ladder_ascending, limit_w)
 
     def nearest_supported_power_limits(self, limits_w: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`nearest_supported_power_limit`."""

@@ -30,6 +30,17 @@ the spike uniform fires, so the number of draws is a pure function of
 ledger (see DESIGN.md): every measurement path, scalar or pass-block
 batched, performs exactly this sequence, which is what keeps the batched
 campaign bit-identical to the scalar reference.
+
+The draws stay batched; the arithmetic after them is scalar.  The
+transport delays, the true-time grid (a left-to-right running sum, as
+``np.cumsum`` adds), the per-round offsets and delays, the minimum-delay
+pick and the spread run on Python floats: with 16 rounds, each numpy
+call would cost more than the arithmetic it does.  The float operations
+are the ones the array form applied elementwise, so the result is
+bit-identical.  Only the timer conversion stays an array call, one per
+clock domain over the whole grid
+(:meth:`~repro.simtime.clock.HardwareClock.convert_array`), which is
+cheaper than converting its 49 points one by one.
 """
 
 from __future__ import annotations
@@ -87,16 +98,32 @@ class PtpLink:
         ``(rounds, 2)`` with up in column 0) so the stream consumption is
         independent of which rounds spike.
         """
-        jitter = rng.exponential(self.jitter_scale_s, size=(rounds, 2))
-        spike_u = rng.random((rounds, 2))
-        spikes = rng.exponential(self.spike_scale_s, size=(rounds, 2))
-        delays = jitter
-        delays += self.base_delay_s
-        delays[:, 0] += self.asymmetry_s
-        delays[:, 1] -= self.asymmetry_s
-        delays += np.where(spike_u < self.spike_prob, spikes, 0.0)
-        np.maximum(delays, 1e-9, out=delays)
-        return delays[:, 0], delays[:, 1]
+        up, down = self._delays(rng, rounds)
+        return np.array(up), np.array(down)
+
+    def _delays(
+        self, rng: np.random.Generator, rounds: int
+    ) -> tuple[list[float], list[float]]:
+        """:meth:`sample_delays` as float lists (the handshake's form).
+
+        The three draws are batched; each delay is then base, plus or
+        minus the asymmetry, plus the spike magnitude where the spike
+        uniform fires, floored at 1 ns — in that order, on Python floats.
+        """
+        jitter = rng.exponential(self.jitter_scale_s, size=(rounds, 2)).tolist()
+        spike_u = rng.random((rounds, 2)).tolist()
+        spikes = rng.exponential(self.spike_scale_s, size=(rounds, 2)).tolist()
+        base, asym, prob = self.base_delay_s, self.asymmetry_s, self.spike_prob
+        up = []
+        down = []
+        for (j_up, j_down), (u_up, u_down), (s_up, s_down) in zip(
+            jitter, spike_u, spikes
+        ):
+            up.append(max(j_up + base + asym + (s_up if u_up < prob else 0.0), 1e-9))
+            down.append(
+                max(j_down + base - asym + (s_down if u_down < prob else 0.0), 1e-9)
+            )
+        return up, down
 
 
 @dataclass(frozen=True)
@@ -136,39 +163,36 @@ def synchronize_timers(
     rng = host.rng
 
     # All transport draws for the handshake happen up front in the fixed
-    # batched order (see the module docstring), then the whole exchange is
-    # evaluated as array math: the true-time grid is the running sum of
-    # the per-leg durations, and the hardware-timer views are vectorized
-    # conversions of that grid.  The machine clock commits once at the end.
-    up, down = link.sample_delays(rng, rounds)
-    turnaround = rng.uniform(0.2e-6, 0.6e-6, size=rounds)
+    # batched order (see the module docstring).  The true-time grid is t0
+    # plus the running (left-to-right) sum of the per-leg durations; each
+    # clock domain converts the whole grid in one array sweep, and the
+    # per-round arithmetic runs on Python floats — 16 rounds are too few
+    # to pay for array calls.  The machine clock commits once at the end.
+    up, down = link._delays(rng, rounds)
+    turnaround = rng.uniform(0.2e-6, 0.6e-6, size=rounds).tolist()
 
     t0 = host.clock.now
-    grid = np.empty(3 * rounds + 1)
-    grid[0] = 0.0
-    legs = grid[1:].reshape(rounds, 3)
-    legs[:, 0] = up
-    legs[:, 1] = turnaround
-    legs[:, 2] = down
-    np.cumsum(grid, out=grid)
-    grid += t0
+    grid = [t0]
+    elapsed = 0.0
+    for legs in zip(up, turnaround, down):
+        for leg in legs:
+            elapsed += leg
+            grid.append(elapsed + t0)
 
-    # One conversion sweep per clock domain over the whole grid; the
-    # per-round views below are slices of the converted buffers.
-    t_host = host.os_clock.convert_array(grid)
-    t_gpu = device.gpu_clock.convert_array(grid)
-    t1 = t_host[0::3][:-1]
-    t2 = t_gpu[1::3]
-    t3 = t_gpu[2::3]
-    t4 = t_host[3::3]
-
-    offsets = ((t2 - t1) + (t3 - t4)) / 2.0
-    delays = ((t4 - t1) - (t3 - t2)) / 2.0
-    # Minimum-delay filtering; argmin keeps the first minimum, matching
+    true_t = np.array(grid)
+    t_host = host.os_clock.convert_array(true_t).tolist()
+    t_gpu = device.gpu_clock.convert_array(true_t).tolist()
+    t1s = t_host[0:-1:3]
+    offsets = []
+    delays = []
+    for t1, t2, t3, t4 in zip(t1s, t_gpu[1::3], t_gpu[2::3], t_host[3::3]):
+        offsets.append(((t2 - t1) + (t3 - t4)) / 2.0)
+        delays.append(((t4 - t1) - (t3 - t2)) / 2.0)
+    # Minimum-delay filtering; index() keeps the first minimum, matching
     # the strict-less comparison of the original round-by-round loop.
-    best = int(np.argmin(delays))
+    best = delays.index(min(delays))
 
-    host.clock.advance_to(float(grid[-1]))
+    host.clock.advance_to(grid[-1])
     # The grid bypassed HardwareClock.read() (pure conversions instead);
     # one real read per clock re-arms the monotonic guard and _last_read
     # bookkeeping for later callers, and asserts consistency once per
@@ -176,10 +200,10 @@ def synchronize_timers(
     host.os_clock.read()
     device.gpu_clock.read()
     return SyncResult(
-        cpu_sync=float(t1[best]),
-        acc_sync=float(t1[best] + offsets[best]),
-        offset=float(offsets[best]),
-        path_delay=float(delays[best]),
+        cpu_sync=t1s[best],
+        acc_sync=t1s[best] + offsets[best],
+        offset=offsets[best],
+        path_delay=delays[best],
         rounds=rounds,
-        delay_spread=float(np.ptp(delays)),
+        delay_spread=max(delays) - min(delays),
     )
