@@ -13,7 +13,8 @@ import numpy as np
 from repro import LatestConfig, make_machine
 from repro.analysis.clusters import scatter_data
 from repro.clustering.silhouette import silhouette_score
-from repro.core.campaign import LatestBenchmark
+from repro.core.campaign import measure_pair, probe_windows
+from repro.core.context import BenchContext
 from repro.core.phase1 import run_phase1
 
 
@@ -30,10 +31,10 @@ def _measure_single_pair(model, freqs, pair, seed, n=120):
         measure_kernel_duration_s=0.12,
         probe_window_s=0.5,
     )
-    bench = LatestBenchmark(machine, config)
-    phase1 = run_phase1(bench.bench)
-    probe = bench._probe_windows(phase1)
-    return bench.measure_pair(pair[0], pair[1], phase1, probe)
+    bench = BenchContext(machine, config)
+    phase1 = run_phase1(bench)
+    probe = probe_windows(bench, phase1)
+    return measure_pair(bench, pair[0], pair[1], phase1, probe)
 
 
 def _print_scatter(pair):

@@ -1,9 +1,8 @@
 """Campaign throughput benchmark → BENCH_campaign.json.
 
 Times a small fixed-seed A100 campaign (4 frequencies / 12 pairs at bench
-fidelity) several ways — the legacy serial loop, the execution engine
-with one worker on the scalar reference loop, the engine on the batched
-pass-block pipeline, the pair-parallel SoA tier at batch widths 1/4/12,
+fidelity) several ways — the execution engine with one worker on the
+scalar reference loop, the engine on the batched pass-block pipeline,
 and (when the host can honestly run it) the engine with a 4-process pool
 — and writes wall seconds plus measurement throughput to
 ``BENCH_campaign.json`` at the repository root, so later PRs have a
@@ -115,13 +114,11 @@ def _timed_campaign(
 
 
 def test_campaign_throughput_baseline():
-    serial, _ = _timed_campaign(workers=None)
     engine1, _ = _timed_campaign(workers=1)
     batched, _ = _timed_campaign(workers=1, pass_block_size=25)
 
     # Sanity: every mode measures the full pair grid, and the batched
     # pipelines reproduce the scalar engine's measurement set exactly.
-    assert serial["n_measured_pairs"] == 12
     assert engine1["n_measured_pairs"] == 12
     assert batched["n_measured_pairs"] == 12
     assert batched["n_measurements"] == engine1["n_measurements"]
@@ -144,13 +141,12 @@ def test_campaign_throughput_baseline():
     payload = {
         "benchmark": (
             "A100 campaign, 4 frequencies / 12 pairs, bench fidelity; "
-            "modes: serial, engine, pass-block batched"
+            "modes: engine, pass-block batched"
         ),
         "seed": _SEED,
         "frequencies_mhz": list(_FREQUENCIES),
         "cpu_count": cpu_count,
         "timing": f"best of {_REPEATS} runs per mode",
-        "serial_legacy": serial,
         "engine_workers_1": engine1,
         "engine_batched_block25": batched,
         "engine_workers_4": engine4,
@@ -172,8 +168,6 @@ def test_campaign_throughput_baseline():
 
     # Guardrails rather than tight bounds (CI boxes vary): a campaign
     # should finish in seconds and sustain hundreds of measurements/s.
-    assert serial["wall_s"] < 30.0
-    assert serial["measurements_per_s"] > 50.0
     assert batched["wall_s"] < 30.0
 
 

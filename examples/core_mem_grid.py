@@ -28,7 +28,7 @@ SM_SUBSETS = {
 
 def main() -> None:
     model = sys.argv[1] if len(sys.argv) > 1 else "A100"
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else None
+    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     spec = lookup_spec(model)
     memory_clocks = spec.supported_memory_clocks_mhz[:2]
 
@@ -45,7 +45,7 @@ def main() -> None:
     print(
         f"running {len(config.pairs())} SM pairs x "
         f"{len(memory_clocks)} memory clocks on simulated {spec.name}"
-        + (f" with {workers} workers ..." if workers else " ...")
+        + (f" with {workers} workers ..." if workers > 1 else " ...")
     )
     result = run_campaign(machine, config, workers=workers)
 

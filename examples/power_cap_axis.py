@@ -24,7 +24,7 @@ from repro.gpusim.spec import lookup_spec
 
 def main() -> None:
     model = sys.argv[1] if len(sys.argv) > 1 else "A100"
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else None
+    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     spec = lookup_spec(model)
     limits = spec.supported_power_limits_w
 
@@ -41,7 +41,7 @@ def main() -> None:
     print(
         f"running {len(config.pairs())} power-limit pairs "
         f"({', '.join(f'{w:g}' for w in limits)} W) on simulated {spec.name}"
-        + (f" with {workers} workers ..." if workers else " ...")
+        + (f" with {workers} workers ..." if workers > 1 else " ...")
     )
     result = run_campaign(machine, config, workers=workers)
 

@@ -24,14 +24,16 @@ Quickstart::
     result = run_campaign(machine, config)
     print(result.latency_matrix("max") * 1e3)   # worst case, ms
 
-Pass ``workers=N`` to :func:`run_campaign` to fan the frequency pairs out
-over a process pool (:mod:`repro.exec`); the result is bit-identical for
-every worker count.
+:func:`run_campaign` runs the execution engine (:mod:`repro.exec`): each
+frequency pair is measured on its own replica machine, in-process by
+default; pass ``workers=N`` to fan the pairs out over a process pool —
+the result is bit-identical for every worker count.
 """
 
-from repro.core.campaign import LatestBenchmark, measure_pair, run_campaign
+from repro.core.campaign import measure_pair
 from repro.core.config import LatestConfig
 from repro.core.results import CampaignResult, PairResult
+from repro.exec.engine import run_campaign
 from repro.machine import Machine, MachineBlueprint, make_machine
 
 __version__ = "1.1.0"
@@ -42,7 +44,6 @@ __all__ = [
     "Machine",
     "MachineBlueprint",
     "LatestConfig",
-    "LatestBenchmark",
     "measure_pair",
     "run_campaign",
     "CampaignResult",

@@ -19,10 +19,10 @@ from repro.analysis.render import (
     render_table2,
 )
 from repro.analysis.summary import summarize_campaign
-from repro.core.campaign import run_campaign
 from repro.core.config import LatestConfig
 from repro.core.stream import FacetPrepared, ProgressSink, RecordingSink
 from repro.errors import CampaignInterrupted, ReproError
+from repro.exec.engine import run_campaign
 from repro.machine import make_machine
 
 __all__ = ["build_parser", "main"]
@@ -118,14 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="measure frequency pairs across N worker processes via the "
-        "execution engine (results are bit-identical for any N, including "
-        "N=1); omit for the classic strictly-serial single-timeline loop "
-        "(default 1 process either way); --journal and "
-        "--calibration-cache run through the engine, so N defaults to 1 "
-        "when either is given",
+        help="measure frequency pairs across N worker processes "
+        "(default 1: in-process); each pair runs on its own replica "
+        "machine, so results are bit-identical for any N",
     )
     parser.add_argument(
         "--calibration-cache",
@@ -135,9 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "results are stored in DIR keyed by a content fingerprint of "
         "everything that can affect them (config, blueprint, facet, "
         "seed), so a repeated campaign replays its calibrations without "
-        "re-measuring — results stay bit-identical to a cold run; runs "
-        "through the execution engine, so --workers defaults to 1 when "
-        "this is given",
+        "re-measuring — results stay bit-identical to a cold run",
     )
     fault = parser.add_argument_group("fault tolerance")
     fault.add_argument(
@@ -147,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record every completed pair to a durable journal in DIR as "
         "it lands; SIGINT/SIGTERM then stop the campaign gracefully "
         "(drain in-flight pairs, flush) instead of losing it, and the run "
-        "can be continued with --resume; runs through the execution "
-        "engine, so --workers defaults to 1 when this is given",
+        "can be continued with --resume",
     )
     fault.add_argument(
         "--resume",
@@ -305,13 +299,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.resume and args.journal is None:
         raise SystemExit("--resume needs --journal DIR")
-    if args.workers is None and (
-        args.journal is not None or args.calibration_cache is not None
-    ):
-        # Journals, resume and the calibration cache are engine-only (the
-        # serial loop shares one timeline); route through the engine at
-        # its bit-identical default.
-        args.workers = 1
 
     machine = make_machine(
         args.gpu_model,

@@ -23,10 +23,6 @@ fields plus the per-pair measurement knobs (stopping rule, per-pair
 window policy, per-pair resilience, outlier labelling).  So worker-count
 changes, journal resumes and phase-2/3 tuning all still hit, and a
 reused machine mid-timeline simply keys under its later start time.
-The serial loop never consults the cache: it shares one RNG/clock
-timeline across calibration and measurement, so a cached calibration
-cannot be skipped bit-identically
-(:func:`~repro.core.campaign.run_campaign` raises a clear error).
 
 Durability
 ----------

@@ -166,11 +166,8 @@ class LatestConfig:
     #: directory of the persistent per-facet calibration cache
     #: (:mod:`repro.core.calibcache`): phase-1 characterizations and probe
     #: window estimates are stored content-addressed so repeat campaigns
-    #: skip straight to phase 2/3, bit-identically.  Engine-only — the
-    #: serial loop shares one RNG/clock timeline across calibration and
-    #: measurement, so it cannot skip a cached calibration
-    #: (:func:`~repro.core.campaign.run_campaign` rejects the combination).
-    #: ``None`` (the default) disables caching.
+    #: skip straight to phase 2/3, bit-identically.  ``None`` (the
+    #: default) disables caching.
     calibration_cache: str | None = None
 
     def __post_init__(self) -> None:

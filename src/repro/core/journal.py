@@ -6,9 +6,7 @@ crash or Ctrl-C.  This module is the durability substrate underneath
 :mod:`repro.exec.engine`: an **append-only on-disk ledger** that records
 each completed pair result the moment it lands on the driver, keyed by a
 **campaign fingerprint** so a resumed run can prove it continues *the
-same* campaign.  Journals are engine-only: the serial single-timeline
-loop shares one clock/RNG stream across pairs, so it could never skip a
-journaled pair bit-identically.
+same* campaign.
 
 Why resume preserves bit-identity
 ---------------------------------

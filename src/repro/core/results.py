@@ -381,14 +381,14 @@ class CampaignResult:
 class ResultAccumulator:
     """The sink that assembles a :class:`CampaignResult` from the stream.
 
-    Every execution tier — serial loop, process-pool engine, service
+    Every execution tier — in-process and process-pool engine, service
     thread fleet, journal-resume replay — emits the campaign event stream
     (:mod:`repro.core.stream`), and this sink is the *only* way a
     ``CampaignResult`` is built from a live campaign.  Pair events are
-    keyed by flat grid index, so completion-order delivery from the pool
-    tiers accumulates to exactly the grid-order ``pairs`` dict the serial
-    loop emits: iteration order (and therefore summary-CSV row order) is
-    index order, independent of worker count or completion order.
+    keyed by flat grid index, so completion-order delivery accumulates
+    to a grid-order ``pairs`` dict: iteration order (and therefore
+    summary-CSV row order) is index order, independent of worker count
+    or completion order.
     """
 
     def __init__(self) -> None:

@@ -1,10 +1,10 @@
 """The campaign event stream: one typed, ordered result pipeline.
 
-Every execution tier — the strictly-serial loop, the in-process and
-process-pool engine, the service's thread fleet, and journal-resume
-replay — produces the same stream of campaign events, and every
-consumer of campaign results is a *sink* attached to it.  The stream is
-the seam incremental consumers plug into: result accumulation
+Every execution tier — the in-process and process-pool engine, the
+service's thread fleet, and journal-resume replay — produces the same
+stream of campaign events, and every consumer of campaign results is a
+*sink* attached to it.  The stream is the seam incremental consumers
+plug into: result accumulation
 (:class:`~repro.core.results.ResultAccumulator`), the durable journal
 (:class:`~repro.core.journal.JournalSink`), incremental CSV output
 (:class:`~repro.core.csvio.CsvStreamSink`), live progress reporting
@@ -16,7 +16,7 @@ Event taxonomy
 --------------
 ``CampaignStarted``
     First event, exactly once: campaign identity (device, hostname,
-    frequencies, axis, facet plan) and the execution mode.
+    frequencies, axis, facet plan).
 ``FacetPrepared``
     Once per facet coordinate, before any pair event of that facet: the
     facet clock settled (or not) and, when it did, the facet's phase-1
@@ -43,16 +43,14 @@ Ordering & determinism contract
 -------------------------------
 * ``CampaignStarted`` precedes everything; ``CampaignFinished`` follows
   everything.
-* A facet's ``FacetPrepared`` precedes every pair event of that facet.
-  The serial loop interleaves (prepare facet, measure its pairs, next
-  facet); the engine prepares all facets up front.
+* Every ``FacetPrepared`` (facet order) precedes every pair event: the
+  engine prepares all facets up front.
 * Exactly one terminal pair event (``PairMeasured`` or ``PairSkipped``)
   is emitted per flat grid index (``facet_index * n_pairs +
-  pair_index``).  The serial loop emits them in grid order; the pool
-  tiers emit ``PairMeasured`` in *completion order* — sorting a tier's
-  pair events by grid index reproduces the serial emission order, which
-  is what index-keyed sinks rely on (and what
-  ``tests/test_stream.py`` pins with a hypothesis sweep).
+  pair_index``).  Planned ``PairSkipped`` events come in grid order;
+  ``PairMeasured`` events come in *completion order*, which depends on
+  the worker count — index-keyed sinks reorder them deterministically
+  (what ``tests/test_stream.py`` pins with a hypothesis sweep).
 * On resume, every replayed ``PairMeasured`` (index order) precedes
   every live one.
 * Events are immutable and carry their payloads by reference; sinks
@@ -130,8 +128,6 @@ class CampaignStarted(CampaignEvent):
     n_pairs: int
     memory_frequencies: tuple[float, ...] | None = None
     locked_sm_frequencies: tuple[float, ...] | None = None
-    #: execution tier producing the stream (``"serial"`` / ``"engine"``)
-    mode: str = "serial"
     #: whether journaled pairs will be replayed before live measurement
     resumed: bool = False
 

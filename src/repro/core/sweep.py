@@ -6,11 +6,12 @@ feeds the variability analysis, plus a convenience for sweeping several
 GPU *models* with per-model frequency subsets (how the paper's Table II
 was produced).
 
-Both sweeps accept ``workers``: ``None`` keeps the legacy sequential
-semantics on the caller's machine; an integer runs one process per
-simulated GPU.  Each campaign inside a sweep worker runs the classic
-serial loop (pair-level :mod:`repro.exec` parallelism is a per-campaign
-choice made through ``run_campaign(..., workers=...)`` directly).
+Both sweeps accept ``workers``: ``1`` (the default) runs the campaigns
+one after another in-process, a larger count runs one process per
+simulated GPU; results are identical either way.  Each campaign runs
+through the execution engine in-process (pair-level :mod:`repro.exec`
+parallelism is a per-campaign choice made through
+``run_campaign(..., workers=...)`` directly).
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from repro.core.campaign import run_campaign
 from repro.core.config import LatestConfig
 from repro.core.results import CampaignResult
 from repro.errors import ConfigError
-from repro.exec import mp_context
+from repro.exec.engine import mp_context, run_campaign
 from repro.machine import Machine, MachineBlueprint, make_machine
 
 __all__ = ["sweep_devices", "sweep_models"]
@@ -47,7 +47,7 @@ def sweep_devices(
     machine: Machine,
     config: LatestConfig,
     device_indices: list[int] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[CampaignResult]:
     """Run the same campaign on several GPUs of one machine.
 
@@ -56,11 +56,10 @@ def sweep_devices(
     back in index order, ready for
     :func:`repro.analysis.variability.variability_report`.
 
-    With ``workers`` set, every device runs in its own process against a
-    blueprint replica of the (freshly built) node: results are
-    deterministic for any worker count, but the devices no longer share
-    one sequential timeline, so they differ from the ``workers=None``
-    ordering-dependent run.
+    Every device's campaign runs against its own blueprint replica of
+    the (freshly built) node, so results are deterministic and identical
+    for any worker count; ``workers > 1`` runs the devices in separate
+    processes.
     """
     if device_indices is None:
         device_indices = list(range(len(machine.devices)))
@@ -70,15 +69,10 @@ def sweep_devices(
         machine.device(index)  # validates the index early
     configs = [replace(config, device_index=i) for i in device_indices]
 
-    if workers is None:
-        return [run_campaign(machine, cfg) for cfg in configs]
-
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if machine.blueprint is None:
-        raise ConfigError(
-            "parallel device sweep needs a machine built by make_machine()"
-        )
+        raise ConfigError("device sweep needs a machine built by make_machine()")
     jobs = [(machine.blueprint, cfg) for cfg in configs]
     if workers == 1 or len(jobs) == 1:
         return [_run_device_campaign(job) for job in jobs]
@@ -92,7 +86,7 @@ def sweep_models(
     model_configs: dict[str, LatestConfig],
     seed: int = 0,
     hostname: str = "simnode01",
-    workers: int | None = None,
+    workers: int = 1,
     memory_subsets: dict[str, tuple[float, ...]] | None = None,
 ) -> dict[str, CampaignResult]:
     """Run one campaign per GPU model (e.g. the paper's three devices).
@@ -110,7 +104,7 @@ def sweep_models(
     """
     if not model_configs:
         raise ConfigError("model sweep needs at least one model")
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if memory_subsets:
         unknown = set(memory_subsets) - set(model_configs)
@@ -132,7 +126,7 @@ def sweep_models(
         for offset, (model, config) in enumerate(ordered)
     ]
 
-    if workers is None or workers == 1 or len(jobs) == 1:
+    if workers == 1 or len(jobs) == 1:
         results = [_run_model_campaign(job) for job in jobs]
     else:
         with ProcessPoolExecutor(

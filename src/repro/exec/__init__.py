@@ -41,7 +41,7 @@ deterministic fault injection (:mod:`repro.exec.faults`).
 from repro.exec.engine import (
     CampaignExecutor,
     mp_context,
-    run_campaign_parallel,
+    run_campaign,
     run_pair_job,
 )
 from repro.exec.faults import FaultAction, FaultInjected, FaultPlan
@@ -74,7 +74,7 @@ __all__ = [
     "mp_context",
     "pair_seed_sequence",
     "quarantine_results",
-    "run_campaign_parallel",
+    "run_campaign",
     "run_pair_job",
     "run_units_inprocess",
     "run_units_pool",

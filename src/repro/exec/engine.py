@@ -44,12 +44,9 @@ output — keys on that index, the result (per-pair measurements, outlier
 labels, CSV bytes) is bit-identical for every worker count and
 submission order; scheduling only changes wall-clock time.
 
-``workers == 1`` executes the jobs in-process (no pool, no pickling) but
+``workers == 1`` (the default of :func:`run_campaign`, the one campaign
+entry point) executes the jobs in-process (no pool, no pickling) but
 through the same job pipeline, so it reproduces ``workers == N`` exactly.
-The serial single-timeline reference loop remains available through
-``run_campaign(machine, config)`` with ``workers=None``; it shares one
-clock/RNG stream across calibration and pairs, so journals, resume and
-the calibration cache are engine-only.
 
 Process pools use the ``fork`` start method where available (Linux) so
 workers inherit the loaded modules; ``spawn`` elsewhere.
@@ -88,7 +85,7 @@ from repro.core.calibcache import (
     FacetCalibration,
     calibration_fingerprint,
 )
-from repro.core.campaign import LatestBenchmark, facet_skip_reason
+from repro.core.campaign import facet_skip_reason
 from repro.core.journal import (
     CampaignJournal,
     JournalSink,
@@ -101,6 +98,7 @@ from repro.core.journal import (
 # tests patch it by name.
 from repro.core.phase1 import run_phase1  # noqa: F401
 from repro.core.config import LatestConfig
+from repro.core.context import BenchContext
 from repro.core.csvio import write_campaign_csvs
 from repro.core.results import CampaignResult, PairResult, ResultAccumulator
 from repro.core.stream import (
@@ -141,7 +139,7 @@ __all__ = [
     "PreparedCampaign",
     "fire_worker_faults",
     "mp_context",
-    "run_campaign_parallel",
+    "run_campaign",
     "run_pair_job",
 ]
 
@@ -177,8 +175,8 @@ class PreparedCampaign:
     t_begin: float = 0.0
     #: the campaign's locked-SM facet plan (``None`` when single-facet)
     sm_facets: tuple = None
-    #: the driver-side benchmark (axis observables for ``finish``)
-    bench_driver: object = None
+    #: the driver-side bench context (axis observables for ``finish``)
+    bench_driver: BenchContext = None
     #: journaled pairs replayed before live dispatch
     n_loaded: int = 0
 
@@ -193,7 +191,7 @@ class CampaignExecutor:
         must carry a blueprint so workers can replicate it).
     config:
         Campaign configuration; CSV output (if any) is written by the
-        driver after the merge, exactly like the serial loop.
+        driver after the merge.
     workers:
         Process count.  ``1`` runs the job pipeline in-process; any value
         produces the identical :class:`CampaignResult`.
@@ -514,11 +512,11 @@ class CampaignExecutor:
         facet_plan = config.facet_plan()
         sm_facets = config.locked_sm_plan()
 
-        bench_driver = LatestBenchmark(machine, config)
+        bench_driver = BenchContext(machine, config)
         dispatch.emit(
             CampaignStarted(
-                gpu_name=bench_driver.bench.device.spec.name,
-                architecture=bench_driver.bench.device.spec.architecture,
+                gpu_name=bench_driver.device.spec.name,
+                architecture=bench_driver.device.spec.architecture,
                 hostname=machine.hostname,
                 device_index=config.device_index,
                 frequencies=config.frequencies,
@@ -527,7 +525,6 @@ class CampaignExecutor:
                 n_pairs=len(config.pairs()),
                 memory_frequencies=config.memory_frequencies,
                 locked_sm_frequencies=sm_facets,
-                mode="engine",
                 resumed=bool(loaded),
             )
         )
@@ -632,7 +629,7 @@ class CampaignExecutor:
                     None
                     if prep.sm_facets is not None
                     else config.swept_axis().locked_complement_mhz(
-                        prep.bench_driver.bench
+                        prep.bench_driver
                     )
                 ),
             )
@@ -709,7 +706,7 @@ class CampaignExecutor:
         return self.finish(prep, dispatch, accumulator)
 
 
-def run_campaign_parallel(
+def run_campaign(
     machine: Machine,
     config: LatestConfig,
     workers: int = 1,
@@ -717,7 +714,25 @@ def run_campaign_parallel(
     resume: bool = False,
     sinks=(),
 ) -> CampaignResult:
-    """Run a campaign through the execution engine (see module docs)."""
+    """Run a campaign through the execution engine (see module docs).
+
+    Pairs are measured on per-pair replica machines with deterministic
+    seed streams, so the result is identical for every worker count
+    (1, 4, ...); ``workers=1`` runs in-process.  The per-pair inner loop
+    runs in pass blocks of ``config.pass_block_size`` passes (``None``
+    selects the scalar reference loop, bit-identical by contract).  With
+    ``config.memory_frequencies`` set, the campaign sweeps the full
+    core×memory grid: the SM pair grid is re-characterized and measured
+    once per locked memory clock.
+
+    ``journal`` names a directory for a durable
+    :class:`~repro.core.journal.CampaignJournal`; every completed pair is
+    recorded as it lands and SIGINT/SIGTERM become a graceful, resumable
+    stop.  ``resume=True`` continues an interrupted campaign
+    bit-identically.  ``sinks`` attaches extra consumers to the campaign
+    event stream (:mod:`repro.core.stream`) — progress reporting,
+    incremental CSV output, service feeds.
+    """
     return CampaignExecutor(
         machine,
         config,

@@ -21,7 +21,7 @@ never changes results, only construction cost.
 from __future__ import annotations
 
 from repro.core.calibcache import FacetCalibration
-from repro.core.campaign import LatestBenchmark, measure_pair
+from repro.core.campaign import measure_pair, probe_windows
 from repro.core.context import BenchContext
 from repro.core.phase1 import run_phase1
 from repro.core.results import PairResult
@@ -109,8 +109,7 @@ def calibrate_facet(
         blueprint, config.device_index, facet_index, config.axis
     )
     machine = blueprint.build(seed=seed, start_time=start_time)
-    driver = LatestBenchmark(machine, config)
-    bench = driver.bench
+    bench = BenchContext(machine, config)
     t0 = machine.clock.now
     if not bench.prepare_facet_clock(facet):
         return FacetCalibration(
@@ -123,7 +122,7 @@ def calibrate_facet(
             elapsed_virtual_s=machine.clock.now - t0,
         )
     phase1 = run_phase1(bench)
-    probe = driver._probe_windows(phase1) if phase1.valid_pairs else None
+    probe = probe_windows(bench, phase1) if phase1.valid_pairs else None
     # Fixed per-pass duration at this facet (delay + confirmation
     # iterations at the facet's own iteration time): the additive term
     # the dispatch cost model needs to rank jobs *across* facets.

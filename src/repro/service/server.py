@@ -58,7 +58,6 @@ def event_to_wire(event: CampaignEvent) -> dict:
             "axis": event.axis,
             "n_pairs": event.n_pairs,
             "n_facets": len(event.facet_plan),
-            "mode": event.mode,
             "resumed": event.resumed,
         }
     if isinstance(event, FacetPrepared):

@@ -5,8 +5,8 @@ end to end against the simulator's ``MemoryLatencyProfile`` ground truth,
 axis-tagged CSV naming and byte-stable round-trips, engine worker-count
 identity on the memory axis, the axis-marked seed streams, and the
 **legacy-equivalence regression**: default-axis campaigns are pinned to
-the exact CSV bytes and virtual wall clock the pre-axis pipeline
-produced (serial, engine×1 and engine×2).
+the exact CSV bytes and virtual wall clock of the engine (the default
+call, engine×1 and engine×2).
 """
 
 import hashlib
@@ -349,18 +349,18 @@ class TestMemoryAxisEngine:
             assert measured == pytest.approx(truth, rel=0.30), pair.key
 
     def test_serial_and_engine_same_scale(self, engine_results, memory_campaign):
-        """Serial and engine replicas measure the same physical model.
+        """Campaigns over different ladders measure the same physical model.
 
-        The engine's per-pair replica machines draw from their own seed
-        streams, so results differ numerically from the serial timeline —
+        A pair's seed stream derives from its grid index, so the
+        two-clock campaign and the full-ladder one differ numerically —
         but both must recover the same retraining-latency scale for the
         shared pairs.
         """
         engine_result, _ = engine_results[1]
         for key, pair in engine_result.pairs.items():
-            serial_pair = memory_campaign.pairs[key]
+            ladder_pair = memory_campaign.pairs[key]
             a = float(np.median(pair.latencies_s()))
-            b = float(np.median(serial_pair.latencies_s()))
+            b = float(np.median(ladder_pair.latencies_s()))
             assert a == pytest.approx(b, rel=0.5), key
 
 
@@ -491,6 +491,13 @@ class TestPowerAxisEngine:
             assert measured == pytest.approx(truth, rel=0.30), pair.key
 
 
+def _run(machine, config, workers):
+    """A ``None`` worker count makes the default call, with no ``workers``."""
+    if workers is None:
+        return run_campaign(machine, config)
+    return run_campaign(machine, config, workers=workers)
+
+
 # ----------------------------------------------------------------------
 # multi-facet sweeps: swept-axis pairs at several locked SM clocks
 # ----------------------------------------------------------------------
@@ -510,7 +517,7 @@ class TestLockedSmFacetSweep:
                 max_measurements=4,
                 output_dir=str(out),
             )
-            results[workers] = (run_campaign(machine, cfg, workers=workers), out)
+            results[workers] = (_run(machine, cfg, workers), out)
         return results
 
     def test_one_grid_per_facet(self, facet_results):
@@ -562,9 +569,9 @@ class TestLockedSmFacetSweep:
         assert b1 == b2
 
     def test_serial_and_engine_same_grid(self, facet_results):
-        serial, _ = facet_results[None]
+        default, _ = facet_results[None]
         engine, _ = facet_results[1]
-        assert set(serial.pairs) == set(engine.pairs)
+        assert set(default.pairs) == set(engine.pairs)
 
     def test_facet_accessors(self, facet_results):
         res, _ = facet_results[None]
@@ -693,23 +700,19 @@ def _campaign_digest(directory):
 
 
 class TestLegacyEquivalence:
-    """Default-axis output is pinned to the pre-axis pipeline, byte for byte.
+    """Default-axis output is pinned byte for byte.
 
-    The golden hashes were captured from the pipeline *before* the axis
-    refactor landed (PR 4); any default-axis divergence — CSV bytes or
-    virtual wall clock, serial or engine, any worker count — fails here.
+    Any default-axis divergence — CSV bytes or virtual wall clock, any
+    worker count — fails here.  The ``None`` case is the default call,
+    with no ``workers`` argument, and must give the ``workers=1`` pins.
     This test is a CI gate: the workflow fails if it is skipped.
     """
 
-    #: the engine pins (workers 1 and 2) were re-pinned once by the change
-    #: that moved single-facet engine campaigns from calibrating on the
-    #: driver machine to calibrating on a blueprint replica (changelog:
-    #: "One calibration scheme"); the serial pins (``None``) never moved
+    #: the pins were re-pinned once by the change that moved single-facet
+    #: engine campaigns from calibrating on the driver machine to
+    #: calibrating on a blueprint replica (changelog: "One calibration
+    #: scheme")
     GOLDEN = {
-        None: (
-            "de68405246615fb6026ac141f096db231c33f27dc430ece2d2c0b0afde1ef824",
-            14.965697494749792,
-        ),
         1: (
             "bf2b9c16c957676ef8740ca516e3b028a1c9634ae02cb9f5a196793cbf5aced1",
             13.367755424005693,
@@ -720,15 +723,9 @@ class TestLegacyEquivalence:
         ),
     }
 
-    #: memory-axis campaigns are pinned the same way; the serial hash was
-    #: captured from the PR-4 pipeline *before* the power-cap axis and
-    #: facet-sweep generalization landed (PR 5), the engine hashes were
-    #: re-pinned together with the default-axis ones
+    #: memory-axis campaigns are pinned the same way, re-pinned together
+    #: with the default-axis ones
     GOLDEN_MEMORY = {
-        None: (
-            "6e2102de7a7fdc56c5ff5d4b1110f884f03c48bf83b58cfd6105d11af2882a56",
-            17.507628368017517,
-        ),
         1: (
             "1e6c0ff7504eb68ce6864d9d68fa649e30efd4ace6e0711b2cdad0de3b48f602",
             16.299033474641565,
@@ -742,10 +739,8 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_default_axis_output_pinned(self, workers, tmp_path):
         machine = make_machine("A100", seed=2718)
-        result = run_campaign(
-            machine, _golden_config(tmp_path), workers=workers
-        )
-        golden_digest, golden_wall = self.GOLDEN[workers]
+        result = _run(machine, _golden_config(tmp_path), workers)
+        golden_digest, golden_wall = self.GOLDEN[workers or 1]
         assert _campaign_digest(tmp_path) == golden_digest
         assert result.wall_virtual_s == golden_wall
 
@@ -760,7 +755,7 @@ class TestLegacyEquivalence:
                 "axis": "memory",
             }
         )
-        result = run_campaign(machine, config, workers=workers)
-        golden_digest, golden_wall = self.GOLDEN_MEMORY[workers]
+        result = _run(machine, config, workers)
+        golden_digest, golden_wall = self.GOLDEN_MEMORY[workers or 1]
         assert _campaign_digest(tmp_path) == golden_digest
         assert result.wall_virtual_s == golden_wall

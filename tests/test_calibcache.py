@@ -24,10 +24,9 @@ from repro.core.calibcache import (
     FacetCalibration,
     calibration_fingerprint,
 )
-from repro.core.campaign import LatestBenchmark
 from repro.core.stream import FacetPrepared, RecordingSink
-from repro.errors import CampaignInterrupted, ConfigError
-from repro.exec.engine import CampaignExecutor, run_campaign_parallel
+from repro.errors import CampaignInterrupted
+from repro.exec.engine import CampaignExecutor
 from repro.exec.jobs import calibration_seed_sequence
 from repro.exec.worker import calibrate_facet
 from tests.conftest import fast_config
@@ -349,7 +348,7 @@ class TestColdWarmIdentity:
 
         monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
-        monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
+        monkeypatch.setattr("repro.exec.worker.probe_windows", bomb)
         warm, counts = _counted(
             run_campaign,
             _machine(),
@@ -370,7 +369,7 @@ class TestColdWarmIdentity:
 
         monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
-        monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
+        monkeypatch.setattr("repro.exec.worker.probe_windows", bomb)
         warm, counts = _counted(
             run_campaign,
             _machine(11),
@@ -423,14 +422,14 @@ class TestColdWarmIdentity:
     def test_warm_pool_cold_then_warm(self, tmp_path):
         cache = str(tmp_path / "cc")
         cold, counts = _counted(
-            run_campaign_parallel,
+            run_campaign,
             _machine(11),
             _facet_config(calibration_cache=cache),
             workers=2,
         )
         assert counts == (0, 2)
         warm, counts = _counted(
-            run_campaign_parallel,
+            run_campaign,
             _machine(11),
             _facet_config(calibration_cache=cache),
             workers=2,
@@ -438,15 +437,6 @@ class TestColdWarmIdentity:
         assert counts == (2, 0)
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
         assert warm.wall_virtual_s == cold.wall_virtual_s
-
-    def test_serial_loop_rejects_cache(self, tmp_path):
-        with pytest.raises(ConfigError, match="calibration_cache"):
-            run_campaign(
-                _machine(),
-                _axis_config(
-                    "sm_core", calibration_cache=str(tmp_path / "cc")
-                ),
-            )
 
     def test_reused_machine_keys_by_start_time(self, tmp_path):
         # A machine mid-timeline (device sweeps reuse one machine)
@@ -565,7 +555,7 @@ class TestResumeWithWarmCache:
 
         monkeypatch.setattr("repro.exec.engine.run_phase1", bomb)
         monkeypatch.setattr("repro.exec.worker.run_phase1", bomb)
-        monkeypatch.setattr(LatestBenchmark, "_probe_windows", bomb)
+        monkeypatch.setattr("repro.exec.worker.probe_windows", bomb)
         resumed, counts = _counted(
             run_campaign,
             _machine(11),
@@ -599,8 +589,7 @@ class TestCacheCLI:
             "--calibration-cache", cache,
             "--output-dir", str(tmp_path / "cold"),
         ]
-        # No --workers: the flag must auto-route to the engine rather
-        # than die on the serial loop's ConfigError.
+        # No --workers: the cache works at the default --workers 1.
         assert main(args) == 0
         err = capsys.readouterr().err
         assert "calibration cache: 0 hit(s), 1 miss(es), 1 installed" in err

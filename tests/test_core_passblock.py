@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import make_machine, run_campaign
+from repro.core.campaign import measure_pair, probe_windows
 from repro.core.context import BenchContext
 from repro.core.passblock import plan_block_size
 from repro.core.phase1 import run_phase1
@@ -107,19 +108,28 @@ class TestBatchedScalarEquivalence:
         assert blk_csv == ref_csv
 
     def test_final_clock_state_matches(self):
-        """After a pair the machine timeline must be scalar-exact, so the
-        legacy serial loop (shared machine across pairs) stays identical
-        too — not only the per-pair results."""
+        """After a pair the machine timeline must be scalar-exact — not
+        only the per-pair results — so pairs measured back to back on one
+        machine stay identical too."""
         cfg = fast_config(
             (705.0, 1095.0, 1410.0), min_measurements=4, max_measurements=6
         )
-        a = make_machine("A100", seed=5)
-        b = make_machine("A100", seed=5)
-        run_campaign(a, replace(cfg, pass_block_size=None))
-        run_campaign(b, replace(cfg, pass_block_size=25))
-        assert a.clock.now == b.clock.now
-        assert a.host.rng.random() == b.host.rng.random()
-        assert a.devices[0].rng.random() == b.devices[0].rng.random()
+        states = []
+        for block in (None, 25):
+            machine = make_machine("A100", seed=5)
+            bench = BenchContext(machine, replace(cfg, pass_block_size=block))
+            phase1 = run_phase1(bench)
+            probe = probe_windows(bench, phase1)
+            for init, target in phase1.valid_pairs:
+                measure_pair(bench, init, target, phase1, probe)
+            states.append(
+                (
+                    machine.clock.now,
+                    machine.host.rng.random(),
+                    machine.devices[0].rng.random(),
+                )
+            )
+        assert states[0] == states[1]
 
 
 class TestMachineCheckpoint:

@@ -116,18 +116,6 @@ class TestEngineSemantics:
         b = run_campaign(make_machine("A100", seed=2), cfg, workers=1)
         assert _campaign_fingerprint(a) != _campaign_fingerprint(b)
 
-    def test_legacy_default_unchanged(self):
-        """workers=None keeps the shared-timeline serial loop."""
-        cfg = _engine_config()
-        legacy = run_campaign(make_machine("A100", seed=7), cfg)
-        engine = run_campaign(make_machine("A100", seed=7), cfg, workers=1)
-        # Same campaign shape either way...
-        assert sorted(legacy.pairs) == sorted(engine.pairs)
-        assert legacy.n_measured_pairs == engine.n_measured_pairs
-        # ...but the engine isolates pair timelines, so the raw timestamp
-        # streams are not the legacy ones.
-        assert _campaign_fingerprint(legacy) != _campaign_fingerprint(engine)
-
     def test_skipped_pairs_preserved(self):
         machine = make_machine("A100", seed=55)
         cfg = fast_config(
@@ -216,11 +204,11 @@ class TestSweepWorkers:
             "A100": fast_config((705.0, 1410.0)),
             "RTX6000": fast_config((750.0, 1650.0)),
         }
-        serial = sweep_models(cfgs, seed=31)
+        inproc = sweep_models(cfgs, seed=31)
         parallel = sweep_models(cfgs, seed=31, workers=2)
-        assert serial.keys() == parallel.keys()
-        for model in serial:
-            assert _campaign_fingerprint(serial[model]) == _campaign_fingerprint(
+        assert inproc.keys() == parallel.keys()
+        for model in inproc:
+            assert _campaign_fingerprint(inproc[model]) == _campaign_fingerprint(
                 parallel[model]
             )
 

@@ -12,10 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import make_machine
+from repro import make_machine, run_campaign
 from repro.errors import ConfigError
 from repro.exec import FaultInjected, FaultPlan
-from repro.exec.engine import run_campaign_parallel
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint
 
@@ -90,12 +89,12 @@ class TestEngineRecovery:
     def baseline(self):
         machine = make_machine("A100", seed=777)
         return _campaign_fingerprint(
-            run_campaign_parallel(machine, _fault_config(), workers=1)
+            run_campaign(machine, _fault_config(), workers=1)
         )
 
     def test_inprocess_kill_retries_bit_identically(self, baseline):
         machine = make_machine("A100", seed=777)
-        result = run_campaign_parallel(
+        result = run_campaign(
             machine, _fault_config(inject_faults="kill@0"), workers=1
         )
         assert _campaign_fingerprint(result) == baseline
@@ -105,7 +104,7 @@ class TestEngineRecovery:
 
     def test_pool_worker_crash_recovers(self, baseline):
         machine = make_machine("A100", seed=777)
-        result = run_campaign_parallel(
+        result = run_campaign(
             machine, _fault_config(inject_faults="kill@0"), workers=2
         )
         assert _campaign_fingerprint(result) == baseline
@@ -118,14 +117,14 @@ class TestEngineRecovery:
             job_timeout_factor=1e-6,
             job_timeout_floor_s=0.5,
         )
-        result = run_campaign_parallel(machine, cfg, workers=2)
+        result = run_campaign(machine, cfg, workers=2)
         assert _campaign_fingerprint(result) == baseline
         assert any(p.n_retries > 0 for p in result.pairs.values())
 
     def test_persistent_failure_quarantined(self):
         machine = make_machine("A100", seed=777)
         cfg = _fault_config(inject_faults="raise@0*99", max_job_retries=1)
-        result = run_campaign_parallel(machine, cfg, workers=1)
+        result = run_campaign(machine, cfg, workers=1)
         skipped = [p for p in result.pairs.values() if p.skipped]
         assert len(skipped) == 1
         assert skipped[0].skip_reason.startswith("quarantined after 2")
@@ -139,7 +138,7 @@ class TestEngineRecovery:
     def test_quarantine_with_zero_retries(self):
         machine = make_machine("A100", seed=777)
         cfg = _fault_config(inject_faults="raise@0", max_job_retries=0)
-        result = run_campaign_parallel(machine, cfg, workers=1)
+        result = run_campaign(machine, cfg, workers=1)
         skipped = [p for p in result.pairs.values() if p.skipped]
         assert len(skipped) == 1
         assert skipped[0].skip_reason.startswith("quarantined after 1")

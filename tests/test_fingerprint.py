@@ -73,21 +73,20 @@ def _keys(model, seed, axis):
     seed=st.integers(0, 2**16),
     axis=_AXES,
     prior=st.lists(
-        st.tuples(_MODELS, _AXES, st.sampled_from([None, 1])),
+        st.tuples(_MODELS, _AXES),
         min_size=1,
         max_size=2,
     ),
 )
-@example(model="A100", seed=3, axis="sm_core", prior=[("A100", "sm_core", 1)])
+@example(model="A100", seed=3, axis="sm_core", prior=[("A100", "sm_core")])
 @settings(max_examples=6, deadline=None)
 def test_keys_invariant_under_prior_campaigns(model, seed, axis, prior):
     _cold_specs()
     before = _keys(model, seed, axis)
-    for prior_model, prior_axis, workers in prior:
+    for prior_model, prior_axis in prior:
         run_campaign(
             make_machine(prior_model, seed=seed + 1),
             _config(prior_model, prior_axis, min_measurements=2),
-            workers=workers,
         )
     assert _keys(model, seed, axis) == before
 

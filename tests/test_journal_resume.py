@@ -14,7 +14,6 @@ from repro import make_machine, run_campaign
 from repro.cli import main
 from repro.core.journal import CampaignJournal, campaign_fingerprint
 from repro.errors import CampaignInterrupted, ConfigError, MeasurementError
-from repro.exec.engine import run_campaign_parallel
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint, _csv_bytes
 
@@ -41,14 +40,14 @@ class TestInterruptResumeAxes:
     def test_resumed_campaign_bit_identical(self, axis, tmp_path):
         journal_dir = tmp_path / "journal"
         golden_cfg = _axis_config(axis, output_dir=str(tmp_path / "gold"))
-        golden = run_campaign_parallel(_machine(), golden_cfg, workers=1)
+        golden = run_campaign(_machine(), golden_cfg, workers=1)
         golden_csv = _csv_bytes(tmp_path / "gold")
 
         # interrupt@2: SIGINT lands on the driver after the 2nd merged
         # pair; workers=1 checks the guard between units, so the stop
         # point is deterministic.
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_campaign_parallel(
+            run_campaign(
                 _machine(),
                 _axis_config(axis, inject_faults="interrupt@2"),
                 workers=1,
@@ -68,7 +67,7 @@ class TestInterruptResumeAxes:
         assert 2 <= n_recorded < 6
 
         resumed_cfg = _axis_config(axis, output_dir=str(tmp_path / "res"))
-        resumed = run_campaign_parallel(
+        resumed = run_campaign(
             _machine(), resumed_cfg, workers=1, journal=journal_dir, resume=True
         )
         assert _campaign_fingerprint(resumed) == _campaign_fingerprint(golden)
@@ -80,7 +79,7 @@ class TestResumeValidation:
     def _interrupted_journal(self, tmp_path, **cfg_overrides):
         journal_dir = tmp_path / "journal"
         with pytest.raises(CampaignInterrupted):
-            run_campaign_parallel(
+            run_campaign(
                 _machine(),
                 _axis_config(
                     "sm_core", inject_faults="interrupt@2", **cfg_overrides
@@ -93,7 +92,7 @@ class TestResumeValidation:
     def test_changed_config_rejected(self, tmp_path):
         journal_dir = self._interrupted_journal(tmp_path)
         with pytest.raises(MeasurementError, match="fingerprint"):
-            run_campaign_parallel(
+            run_campaign(
                 _machine(),
                 _axis_config("sm_core", rse_threshold=0.01),
                 workers=1,
@@ -104,7 +103,7 @@ class TestResumeValidation:
     def test_changed_seed_rejected(self, tmp_path):
         journal_dir = self._interrupted_journal(tmp_path)
         with pytest.raises(MeasurementError, match="fingerprint"):
-            run_campaign_parallel(
+            run_campaign(
                 _machine(seed=1),
                 _axis_config("sm_core"),
                 workers=1,
@@ -114,10 +113,10 @@ class TestResumeValidation:
 
     def test_execution_knobs_may_change_on_resume(self, tmp_path):
         journal_dir = self._interrupted_journal(tmp_path)
-        golden = run_campaign_parallel(
+        golden = run_campaign(
             _machine(), _axis_config("sm_core"), workers=1
         )
-        resumed = run_campaign_parallel(
+        resumed = run_campaign(
             _machine(),
             _axis_config("sm_core", max_job_retries=9, pass_block_size=7),
             workers=2,
@@ -129,7 +128,7 @@ class TestResumeValidation:
     def test_fresh_run_refuses_existing_journal(self, tmp_path):
         journal_dir = self._interrupted_journal(tmp_path)
         with pytest.raises(ConfigError, match="already exists"):
-            run_campaign_parallel(
+            run_campaign(
                 _machine(),
                 _axis_config("sm_core"),
                 workers=1,
@@ -138,22 +137,9 @@ class TestResumeValidation:
 
     def test_resume_without_journal_rejected(self):
         with pytest.raises(ConfigError, match="journal"):
-            run_campaign_parallel(
+            run_campaign(
                 _machine(), _axis_config("sm_core"), workers=1, resume=True
             )
-
-
-def test_serial_journal_rejected(tmp_path):
-    # Journals are engine-only: the serial loop shares one RNG/clock
-    # timeline, so nothing it recorded could ever be resumed.
-    with pytest.raises(ConfigError, match="journal requires the execution"):
-        run_campaign(
-            _machine(),
-            _axis_config("sm_core"),
-            workers=None,
-            journal=str(tmp_path / "journal"),
-        )
-    assert not (tmp_path / "journal").exists()
 
 
 class TestCliResume:
@@ -187,7 +173,7 @@ class TestCliResume:
             main(self._ARGS + ["--resume"])
 
     def test_journal_without_workers_routes_to_engine(self, tmp_path, capsys):
-        # --journal alone runs through the engine at --workers 1, so the
+        # --journal alone runs at the default --workers 1, so the
         # interrupted campaign is resumable without naming --workers.
         journal = str(tmp_path / "journal")
         no_workers = [a for a in self._ARGS if a not in ("--workers", "1")]
@@ -202,5 +188,5 @@ class TestCliResume:
 def test_interrupted_error_without_journal_has_no_dir(tmp_path):
     cfg = _axis_config("sm_core", inject_faults="interrupt@2")
     with pytest.raises(CampaignInterrupted) as excinfo:
-        run_campaign_parallel(_machine(), cfg, workers=1)
+        run_campaign(_machine(), cfg, workers=1)
     assert excinfo.value.journal_dir is None

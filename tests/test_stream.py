@@ -3,12 +3,11 @@
 Every execution tier emits the same typed event stream
 (:mod:`repro.core.stream`); these tests pin the contract the sinks rely
 on.  The headline property (a hypothesis sweep over campaign seeds, on
-all three measurement axes): the completion-order ``PairMeasured``
-events of the process-pool engine and the in-process engine, reordered
-by flat grid index, are element-identical to the serial loop's
-grid-order emission — identity fields against the serial stream (the
-serial timeline differs by design), full measurement payloads between
-the two engine runs.
+all three measurement axes): the completion-order terminal pair events
+of the process-pool engine and the in-process engine, reordered by flat
+grid index, name exactly the grid ``config.facet_plan()`` ×
+``config.pairs()`` in order, and carry identical measurement payloads
+in both runs.
 """
 
 from io import StringIO
@@ -36,7 +35,6 @@ from repro.core.stream import (
     StreamDispatcher,
 )
 from repro.errors import CampaignInterrupted, MeasurementError
-from repro.exec.engine import run_campaign_parallel
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint, _csv_bytes
 
@@ -59,17 +57,10 @@ def _terminal_events(rec: RecordingSink):
 
 
 def _identity(event):
-    """The grid-position identity of a terminal pair event.
-
-    Identity fields only — the serial loop's shared timeline produces
-    different measurement values than the engine's per-pair replicas, so
-    cross-tier comparison against the serial stream stops here.
-    """
+    """The grid-position identity of a terminal pair event."""
     pair = event.pair
     return (
         event.index,
-        isinstance(event, PairSkipped),
-        pair.skipped,
         pair.init_mhz,
         pair.target_mhz,
         pair.memory_mhz,
@@ -78,10 +69,30 @@ def _identity(event):
     )
 
 
+def _grid_identities(config):
+    """The identities the grid ``facet_plan() × pairs()`` must produce."""
+    grid = config.memory_frequencies is not None
+    pairs = config.pairs()
+    return [
+        (
+            facet_index * len(pairs) + pair_index,
+            float(init),
+            float(target),
+            facet if grid else None,
+            None if grid or facet is None else float(facet),
+            config.axis,
+        )
+        for facet_index, facet in enumerate(config.facet_plan())
+        for pair_index, (init, target) in enumerate(pairs)
+    ]
+
+
 def _payload(event):
     """Full measurement payload — engine runs must agree bit-for-bit."""
     pair = event.pair
     return _identity(event) + (
+        isinstance(event, PairSkipped),
+        pair.skipped,
         event.elapsed_virtual_s,
         getattr(event, "replayed", False),
         tuple(
@@ -92,34 +103,27 @@ def _payload(event):
 
 
 class TestCompletionOrderReordering:
-    """Pool-tier events, sorted by grid index, reproduce serial order."""
+    """Engine events, sorted by grid index, reproduce the grid order."""
 
     @pytest.mark.parametrize("axis", sorted(_AXES))
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=2, deadline=None)
     def test_reordered_events_match_serial_grid_order(self, axis, seed):
         cfg = _axis_config(axis)
-        serial_rec = RecordingSink()
-        run_campaign(make_machine("A100", seed=seed), cfg, sinks=(serial_rec,))
         engine_rec = RecordingSink()
-        run_campaign_parallel(
+        run_campaign(
             make_machine("A100", seed=seed),
             cfg,
             workers=2,
             sinks=(engine_rec,),
         )
         inproc_rec = RecordingSink()
-        run_campaign_parallel(
+        run_campaign(
             make_machine("A100", seed=seed),
             cfg,
             workers=1,
             sinks=(inproc_rec,),
         )
-
-        serial_terminal = _terminal_events(serial_rec)
-        indices = [event.index for event in serial_terminal]
-        # The serial loop emits terminal events in grid order, densely.
-        assert indices == list(range(len(indices)))
 
         engine_sorted = sorted(
             _terminal_events(engine_rec), key=lambda event: event.index
@@ -127,9 +131,9 @@ class TestCompletionOrderReordering:
         inproc_sorted = sorted(
             _terminal_events(inproc_rec), key=lambda event: event.index
         )
-        serial_ids = [_identity(event) for event in serial_terminal]
-        assert [_identity(event) for event in engine_sorted] == serial_ids
-        assert [_identity(event) for event in inproc_sorted] == serial_ids
+        grid_ids = _grid_identities(cfg)
+        assert [_identity(event) for event in engine_sorted] == grid_ids
+        assert [_identity(event) for event in inproc_sorted] == grid_ids
         # Both engine runs agree on the full measurement payload.
         assert [_payload(event) for event in engine_sorted] == [
             _payload(event) for event in inproc_sorted
@@ -138,22 +142,22 @@ class TestCompletionOrderReordering:
 
 class TestOrderingContract:
     @pytest.fixture(scope="class")
-    def serial_campaign(self):
-        """A two-facet (locked-SM sweep) serial campaign and its stream."""
+    def facet_sweep_campaign(self):
+        """A two-facet (locked-SM sweep) campaign and its stream."""
         rec = RecordingSink()
         cfg = _axis_config("memory", locked_sm_mhz=(1410.0, 1095.0))
         result = run_campaign(make_machine("A100", seed=31), cfg, sinks=(rec,))
         return rec.events, result
 
-    def test_started_first_finished_last_exactly_once(self, serial_campaign):
-        events, _ = serial_campaign
+    def test_started_first_finished_last_exactly_once(self, facet_sweep_campaign):
+        events, _ = facet_sweep_campaign
         assert isinstance(events[0], CampaignStarted)
         assert isinstance(events[-1], CampaignFinished)
         assert sum(isinstance(e, CampaignStarted) for e in events) == 1
         assert sum(isinstance(e, CampaignFinished) for e in events) == 1
 
-    def test_one_terminal_event_per_grid_index(self, serial_campaign):
-        events, _ = serial_campaign
+    def test_one_terminal_event_per_grid_index(self, facet_sweep_campaign):
+        events, _ = facet_sweep_campaign
         started = events[0]
         terminal = [
             e for e in events if isinstance(e, (PairMeasured, PairSkipped))
@@ -161,8 +165,8 @@ class TestOrderingContract:
         expected = len(started.facet_plan) * started.n_pairs
         assert sorted(e.index for e in terminal) == list(range(expected))
 
-    def test_facet_prepared_precedes_its_pair_events(self, serial_campaign):
-        events, _ = serial_campaign
+    def test_facet_prepared_precedes_its_pair_events(self, facet_sweep_campaign):
+        events, _ = facet_sweep_campaign
         started = events[0]
         prepared_at = {}
         for pos, event in enumerate(events):
@@ -175,9 +179,9 @@ class TestOrderingContract:
                 assert prepared_at[facet_index] < pos
 
     def test_accumulator_rebuilds_identical_result(
-        self, serial_campaign, tmp_path
+        self, facet_sweep_campaign, tmp_path
     ):
-        events, result = serial_campaign
+        events, result = facet_sweep_campaign
         acc = ResultAccumulator()
         for event in events:
             acc.on_event(event)
@@ -248,7 +252,7 @@ class TestCsvStreamSink:
     def test_engine_completion_order_writes_same_bytes(self, tmp_path):
         cfg = _axis_config("memory")
         sink = CsvStreamSink(tmp_path / "stream")
-        result = run_campaign_parallel(
+        result = run_campaign(
             make_machine("A100", seed=77), cfg, workers=2, sinks=(sink,)
         )
         write_campaign_csvs(tmp_path / "batch", result)
@@ -257,7 +261,7 @@ class TestCsvStreamSink:
     def test_interrupted_campaign_writes_marked_partial_summary(self, tmp_path):
         sink = CsvStreamSink(tmp_path / "stream")
         with pytest.raises(CampaignInterrupted):
-            run_campaign_parallel(
+            run_campaign(
                 make_machine("A100", seed=77),
                 _axis_config("sm_core", inject_faults="interrupt@2"),
                 workers=1,
@@ -287,14 +291,14 @@ class TestResumeReplay:
         journal = tmp_path / "journal"
         cfg = _axis_config("sm_core")
         with pytest.raises(CampaignInterrupted):
-            run_campaign_parallel(
+            run_campaign(
                 make_machine("A100", seed=4242),
                 _axis_config("sm_core", inject_faults="interrupt@2"),
                 workers=1,
                 journal=journal,
             )
         rec = RecordingSink()
-        resumed = run_campaign_parallel(
+        resumed = run_campaign(
             make_machine("A100", seed=4242),
             cfg,
             workers=1,
@@ -314,7 +318,7 @@ class TestResumeReplay:
         replayed_indices = [e.index for e in measured if e.replayed]
         assert replayed_indices == sorted(replayed_indices)
         # And the resumed result matches an uninterrupted run.
-        golden = run_campaign_parallel(
+        golden = run_campaign(
             make_machine("A100", seed=4242), cfg, workers=1
         )
         assert _campaign_fingerprint(resumed) == _campaign_fingerprint(golden)

@@ -30,6 +30,38 @@ class TestSweeps:
         b = results[1].pair(705.0, 1410.0).latencies_s(False)
         assert not (a[: len(b)] == b[: len(a)]).all()
 
+    def test_device_sweep_identical_for_any_worker_count(self, tmp_path):
+        # The default call, workers=1 and workers=2 all measure each
+        # device on its own blueprint replica: same CSV bytes, same
+        # virtual wall clock per device.
+        runs = {}
+        for label, kwargs in (
+            ("default", {}),
+            ("w1", {"workers": 1}),
+            ("w2", {"workers": 2}),
+        ):
+            out = tmp_path / label
+            config = fast_config(
+                (705.0, 1410.0),
+                min_measurements=4,
+                max_measurements=5,
+                output_dir=str(out),
+            )
+            machine = make_machine("A100", n_gpus=2, seed=21)
+            results = sweep_devices(machine, config, **kwargs)
+            csvs = {
+                index: {
+                    path.name: path.read_bytes()
+                    for path in sorted(out.glob(f"*gpu{index}*.csv"))
+                }
+                for index in (0, 1)
+            }
+            runs[label] = (csvs, [r.wall_virtual_s for r in results])
+        csvs = runs["default"][0]
+        assert all(csvs[index] for index in (0, 1))
+        assert runs["w1"] == runs["default"]
+        assert runs["w2"] == runs["default"]
+
     def test_device_sweep_validates_indices(self):
         machine = make_machine("A100", seed=21)
         config = fast_config((705.0, 1410.0))
