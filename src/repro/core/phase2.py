@@ -105,11 +105,6 @@ def build_benchmark_kernel(
     )
 
 
-def settle_on_frequency(bench: BenchContext, freq_mhz: float) -> bool:
-    """See :meth:`BenchContext.settle_on` (kept here for API stability)."""
-    return bench.settle_on(freq_mhz)
-
-
 def run_switch_benchmark(
     bench: BenchContext,
     init_mhz: float,

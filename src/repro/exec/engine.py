@@ -51,6 +51,17 @@ through the same job pipeline, so it reproduces ``workers == N`` exactly.
 Process pools use the ``fork`` start method where available (Linux) so
 workers inherit the loaded modules; ``spawn`` elsewhere.
 
+One driver
+----------
+:class:`CampaignExecutor` is the only code that opens a campaign's
+journal, measures its pairs in-process and records them on the stream.
+:meth:`~CampaignExecutor.run` walks the seam prepare → measure → record →
+finish → close (:class:`PreparedCampaign`); the asyncio service
+(:mod:`repro.service`) walks the same methods, measuring one shard per
+:meth:`~CampaignExecutor.measure_units` call on a fleet thread and
+recording each shard on its event loop.  Only the order in which units
+run differs, and the result does not depend on it.
+
 Fault tolerance
 ---------------
 Dispatch is **supervised** (:class:`~repro.exec.jobs.SupervisionPolicy`,
@@ -91,6 +102,7 @@ from repro.core.journal import (
     JournalSink,
     ShutdownGuard,
     campaign_fingerprint,
+    campaign_synopsis,
     replay_events,
 )
 # Unused here since calibration moved to calibrate_facet; kept importable
@@ -148,16 +160,17 @@ __all__ = [
 class PreparedCampaign:
     """Everything :meth:`CampaignExecutor.prepare` settles before dispatch.
 
-    The carrier of the prepare → dispatch → finish seam: ``prepare``
-    emits the campaign-start events, calibrates every facet, and plans
-    the job grid; any dispatcher — the executor's own :meth:`_execute`
-    loop or an external one such as the asyncio service tier
-    (:mod:`repro.service`) — then measures ``todo`` however it likes,
-    records each result's virtual cost in :attr:`elapsed_by_index`, and
-    hands the carrier to :meth:`CampaignExecutor.finish` to close the
-    timeline and assemble the result.  Because the clock advance in
-    ``finish`` sums costs in grid-index order, the result is
-    bit-identical for every dispatch interleaving.
+    The carrier of the prepare → measure → record → finish seam:
+    ``prepare`` opens the journal, builds the event stream, emits the
+    campaign-start events, calibrates every facet, and plans the job
+    grid.  A driver — the executor's own :meth:`~CampaignExecutor.run`
+    or the asyncio service tier (:mod:`repro.service`) — then measures
+    ``todo`` in whatever units and order it likes with
+    :meth:`~CampaignExecutor.measure_units`, hands each landed batch to
+    :meth:`~CampaignExecutor.record`, and calls
+    :meth:`~CampaignExecutor.finish` and :meth:`~CampaignExecutor.close`.
+    Because the clock advance in ``finish`` sums costs in grid-index
+    order, the result is bit-identical for every dispatch interleaving.
     """
 
     #: per-worker shared inputs (blueprint, config, calibrations, epoch)
@@ -168,9 +181,19 @@ class PreparedCampaign:
     skips: list
     #: the jobs still to measure (``jobs`` minus journal replays)
     todo: list
+    #: the campaign event stream (accumulator, journal, then extra sinks)
+    dispatch: StreamDispatcher
+    #: the stream sink that assembles the ``CampaignResult``
+    accumulator: ResultAccumulator
+    #: the open journal, closed by :meth:`CampaignExecutor.close`
+    journal: "CampaignJournal | None" = None
     #: per-index virtual cost; prefilled with replayed pairs, grown by
-    #: the dispatcher, summed in index order by ``finish``
+    #: :meth:`CampaignExecutor.record`, summed in index order by ``finish``
     elapsed_by_index: dict = field(default_factory=dict)
+    #: per-campaign replica-skeleton cache of the in-process runner
+    #: (values are deterministic per key, so concurrent service shards
+    #: at worst duplicate work)
+    skeleton: dict = field(default_factory=dict)
     #: driver clock at campaign start (wall-virtual origin)
     t_begin: float = 0.0
     #: the campaign's locked-SM facet plan (``None`` when single-facet)
@@ -411,102 +434,54 @@ class CampaignExecutor:
             )
         return phase1_by_facet, probe_by_facet
 
-    def _execute(
-        self,
-        jobs: list[PairJob],
-        payload: CampaignPayload,
-        policy: SupervisionPolicy,
-        guard: ShutdownGuard | None = None,
-        on_result=None,
-        on_retry=None,
-    ) -> list[PairJobResult]:
-        """Dispatch jobs as supervised units and collect their results.
-
-        ``on_result`` (if given) fires on the driver as each unit's
-        results land — the stream/fault hook.  ``on_retry`` fires when a
-        failed unit is about to re-dispatch (the ``PairRetried`` feed).
-        ``guard`` (if given) makes the dispatch loops drain gracefully
-        once a shutdown signal arrives; the caller decides what an early
-        return means.
-        """
-        if on_result is None:
-            def on_result(results):  # noqa: ARG001 - deliberate no-op sink
-                return None
-        if not jobs:
-            return []
-        if self.workers == 1 or len(jobs) <= 1:
-            skeleton: dict = {}
-
-            def measure(unit_jobs):
-                fire_worker_faults(unit_jobs, payload, in_process=True)
-                return [
-                    run_pair_job(job, payload, skeleton)
-                    for job in unit_jobs
-                ]
-
-            return run_units_inprocess(
-                [[job] for job in jobs],
-                policy,
-                guard,
-                on_result,
-                measure,
-                on_retry=on_retry,
-            )
-
-        # Straggler-aware dispatch: longest-expected pair first, so the
-        # costliest job never starts last and the pool drains evenly.
-        # Ordering cannot affect results (the merge is index-keyed).  The
-        # same cost model feeds the supervision deadlines: a unit's
-        # timeout scales with its expected cost.
-        job_cost = self.job_cost(payload)
-        ranked = sorted(jobs, key=lambda job: (-job_cost(job), job.index))
-        return run_units_pool(
-            [[job] for job in ranked],
-            [job_cost(job) for job in ranked],
-            policy,
-            guard,
-            on_result,
-            workers=self.workers,
-            fn=worker_run_unit,
-            initializer=worker_init,
-            initargs=(payload,),
-            on_retry=on_retry,
-        )
-
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
+        """Run the whole campaign: prepare, measure, finish, close."""
+        prep = self.prepare()
+        try:
+            self._execute(prep)
+            return self.finish(prep)
+        finally:
+            self.close(prep)
+
+    def prepare(self) -> PreparedCampaign:
+        """Open the journal and stream, calibrate, plan, replay.
+
+        The first stage of the seam (see :class:`PreparedCampaign`):
+        opens the executor's journal (fingerprint-validated and loaded on
+        ``resume``), builds the event stream — the result accumulator,
+        the journal sink, then :attr:`sinks` — emits ``CampaignStarted``,
+        runs the per-facet calibrations (``FacetPrepared``), plans the
+        job grid (``PairSkipped`` for planned skips), replays journaled
+        pairs as synthetic events, and returns the carrier with the
+        ``todo`` jobs a driver measures.  The journal is closed again if
+        any of this raises.
+        """
         machine, config = self.machine, self.config
         journal: CampaignJournal | None = None
-        loaded: dict = {}
         if self.journal_dir is not None:
-            from repro.core.journal import campaign_synopsis
-
-            fingerprint = campaign_fingerprint(config, machine.blueprint)
             journal = CampaignJournal.open(
                 self.journal_dir,
-                fingerprint,
+                campaign_fingerprint(config, machine.blueprint),
                 resume=self.resume,
                 synopsis=campaign_synopsis(config, machine.blueprint),
             )
-            if self.resume:
-                loaded = journal.load()
         try:
-            return self._run(journal, loaded)
-        finally:
+            return self._plan(journal)
+        except BaseException:
             if journal is not None:
                 journal.close()
+            raise
 
-    def prepare(self, dispatch: StreamDispatcher, loaded=None) -> PreparedCampaign:
-        """Calibrate, plan the grid, and emit every pre-dispatch event.
-
-        The first stage of the prepare → dispatch → finish seam (see
-        :class:`PreparedCampaign`): emits ``CampaignStarted``, runs the
-        per-facet calibrations (``FacetPrepared``), plans the job grid
-        (``PairSkipped`` for planned skips), replays journaled pairs
-        (``loaded``) as synthetic events, and returns the carrier with
-        the ``todo`` jobs an external dispatcher measures.
-        """
-        loaded = {} if loaded is None else loaded
+    def _plan(self, journal: "CampaignJournal | None") -> PreparedCampaign:
+        """:meth:`prepare` after the journal is open."""
+        loaded = journal.load() if self.resume else {}
+        accumulator = ResultAccumulator()
+        dispatch = StreamDispatcher(
+            accumulator,
+            JournalSink(journal) if journal is not None else None,
+            *self.sinks,
+        )
         machine, config = self.machine, self.config
         t_begin = machine.clock.now
         facet_plan = config.facet_plan()
@@ -566,6 +541,9 @@ class CampaignExecutor:
             jobs=jobs,
             skips=skips,
             todo=todo,
+            dispatch=dispatch,
+            accumulator=accumulator,
+            journal=journal,
             elapsed_by_index=elapsed_by_index,
             t_begin=t_begin,
             sm_facets=sm_facets,
@@ -602,12 +580,137 @@ class CampaignExecutor:
 
         return cost
 
-    def finish(
+    def _execute(self, prep: PreparedCampaign) -> None:
+        """Measure ``prep.todo`` as supervised one-job units and record them.
+
+        With a journal or injected faults the dispatch loops drain
+        gracefully once SIGINT/SIGTERM arrives, and the early return
+        becomes :class:`~repro.errors.CampaignInterrupted`.
+        """
+        jobs = prep.todo
+        driver_plan = FaultPlan.parse(self.config.inject_faults)
+        merged_count = prep.n_loaded
+
+        def on_result(unit_results) -> None:
+            nonlocal merged_count
+            for res in unit_results:
+                self.record(prep, (res,))
+                merged_count += 1
+                if driver_plan is not None:
+                    driver_plan.fire_driver(merged_count)
+
+        def on_retry(*retry) -> None:
+            self.record(prep, (), (retry,))
+
+        guard = (
+            ShutdownGuard()
+            if prep.journal is not None or driver_plan is not None
+            else None
+        )
+        with ExitStack() as stack:
+            if guard is not None:
+                stack.enter_context(guard)
+            if self.workers == 1 or len(jobs) <= 1:
+                self.measure_units(
+                    prep, [[job] for job in jobs], guard, on_result, on_retry
+                )
+            else:
+                # Straggler-aware dispatch: longest-expected pair first, so
+                # the costliest job never starts last and the pool drains
+                # evenly.  Ordering cannot affect results (the merge is
+                # index-keyed).  The same cost model feeds the supervision
+                # deadlines: a unit's timeout scales with its expected cost.
+                job_cost = self.job_cost(prep.payload)
+                ranked = sorted(
+                    jobs, key=lambda job: (-job_cost(job), job.index)
+                )
+                run_units_pool(
+                    [[job] for job in ranked],
+                    [job_cost(job) for job in ranked],
+                    SupervisionPolicy.from_config(self.config),
+                    guard,
+                    on_result,
+                    workers=self.workers,
+                    fn=worker_run_unit,
+                    initializer=worker_init,
+                    initargs=(prep.payload,),
+                    on_retry=on_retry,
+                )
+        if guard is not None and guard.requested:
+            prep.dispatch.interrupt()
+            hint = (
+                f"journal at {self.journal_dir} holds every finished pair; "
+                "rerun with --resume to continue"
+                if prep.journal is not None
+                else "no journal attached, partial results were discarded"
+            )
+            raise CampaignInterrupted(
+                f"campaign interrupted after {merged_count} of "
+                f"{len(prep.jobs)} measured pairs; {hint}",
+                journal_dir=self.journal_dir,
+            )
+
+    def measure_units(
         self,
         prep: PreparedCampaign,
-        dispatch: StreamDispatcher,
-        accumulator: ResultAccumulator,
-    ) -> CampaignResult:
+        units,
+        guard: ShutdownGuard | None = None,
+        on_result=None,
+        on_retry=None,
+    ) -> list[PairJobResult]:
+        """Measure job units in this process under supervision.
+
+        The one in-process runner: each unit (a list of jobs) fires its
+        injected worker faults, then measures every job on a blueprint
+        replica through the campaign's skeleton cache; retries and
+        quarantine follow ``config``'s supervision policy.  ``on_result``
+        fires as each unit lands and ``on_retry(unit, attempt, cause)``
+        before each re-dispatch; pass what they report to :meth:`record`.
+        ``run`` passes one-job units; the service passes one shard per
+        call from a fleet thread.
+        """
+        payload, skeleton = prep.payload, prep.skeleton
+
+        def measure(unit_jobs):
+            fire_worker_faults(unit_jobs, payload, in_process=True)
+            return [run_pair_job(job, payload, skeleton) for job in unit_jobs]
+
+        return run_units_inprocess(
+            units,
+            SupervisionPolicy.from_config(self.config),
+            guard,
+            on_result if on_result is not None else (lambda results: None),
+            measure,
+            on_retry=on_retry,
+        )
+
+    def record(self, prep: PreparedCampaign, results, retries=()) -> None:
+        """Emit landed work on the campaign stream (the one place).
+
+        ``retries`` holds ``(unit, attempt, cause)`` triples as
+        :meth:`measure_units` reports them; each becomes a
+        ``PairRetried`` event, all before the ``PairMeasured`` event of
+        each result, whose virtual cost lands in ``prep.elapsed_by_index``.
+        """
+        for unit, attempt, cause in retries:
+            prep.dispatch.emit(
+                PairRetried(
+                    indices=tuple(job.index for job in unit),
+                    attempt=attempt,
+                    cause=cause,
+                )
+            )
+        for res in results:
+            prep.elapsed_by_index[res.index] = res.elapsed_virtual_s
+            prep.dispatch.emit(
+                PairMeasured(
+                    index=res.index,
+                    pair=res.pair,
+                    elapsed_virtual_s=res.elapsed_virtual_s,
+                )
+            )
+
+    def finish(self, prep: PreparedCampaign) -> CampaignResult:
         """Close the timeline and assemble the result (last seam stage).
 
         Sums every measured pair's virtual cost in grid-index order,
@@ -622,7 +725,7 @@ class CampaignExecutor:
         if total_elapsed > 0.0:
             machine.clock.advance(total_elapsed)
 
-        dispatch.emit(
+        prep.dispatch.emit(
             CampaignFinished(
                 wall_virtual_s=machine.clock.now - prep.t_begin,
                 locked_sm_mhz=(
@@ -634,76 +737,15 @@ class CampaignExecutor:
                 ),
             )
         )
-        result = accumulator.result()
+        result = prep.accumulator.result()
         if config.output_dir is not None:
             write_campaign_csvs(config.output_dir, result)
         return result
 
-    def _run(self, journal, loaded) -> CampaignResult:
-        config = self.config
-        accumulator = ResultAccumulator()
-        dispatch = StreamDispatcher(
-            accumulator,
-            JournalSink(journal) if journal is not None else None,
-            *self.sinks,
-        )
-        prep = self.prepare(dispatch, loaded)
-        driver_plan = FaultPlan.parse(config.inject_faults)
-        policy = SupervisionPolicy.from_config(config)
-        supervised = journal is not None or driver_plan is not None
-        merged_count = prep.n_loaded
-        elapsed_by_index = prep.elapsed_by_index
-
-        def on_result(unit_results) -> None:
-            nonlocal merged_count
-            for res in unit_results:
-                elapsed_by_index[res.index] = res.elapsed_virtual_s
-                dispatch.emit(
-                    PairMeasured(
-                        index=res.index,
-                        pair=res.pair,
-                        elapsed_virtual_s=res.elapsed_virtual_s,
-                    )
-                )
-                merged_count += 1
-                if driver_plan is not None:
-                    driver_plan.fire_driver(merged_count)
-
-        def on_retry(unit_jobs, attempts, cause) -> None:
-            dispatch.emit(
-                PairRetried(
-                    indices=tuple(job.index for job in unit_jobs),
-                    attempt=attempts,
-                    cause=cause,
-                )
-            )
-
-        guard = ShutdownGuard() if supervised else None
-        with ExitStack() as stack:
-            if guard is not None:
-                stack.enter_context(guard)
-            self._execute(
-                prep.todo,
-                prep.payload,
-                policy,
-                guard=guard,
-                on_result=on_result,
-                on_retry=on_retry,
-            )
-        if guard is not None and guard.requested:
-            dispatch.interrupt()
-            hint = (
-                f"journal at {self.journal_dir} holds every finished pair; "
-                "rerun with --resume to continue"
-                if journal is not None
-                else "no journal attached, partial results were discarded"
-            )
-            raise CampaignInterrupted(
-                f"campaign interrupted after {merged_count} of "
-                f"{len(prep.jobs)} measured pairs; {hint}",
-                journal_dir=self.journal_dir,
-            )
-        return self.finish(prep, dispatch, accumulator)
+    def close(self, prep: PreparedCampaign) -> None:
+        """Release the campaign's journal (safe after any stage)."""
+        if prep.journal is not None:
+            prep.journal.close()
 
 
 def run_campaign(

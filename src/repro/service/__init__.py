@@ -21,20 +21,20 @@ multi-tenant service (ROADMAP item 1).  The layering, bottom to top:
 :mod:`repro.service.service`
     :class:`CampaignService` — submit / status / events / cancel /
     drain, journal-backed crash recovery, one shared calibration
-    cache across tenants.
+    cache across tenants.  In-process callers use it directly.
 :mod:`repro.service.server` / :mod:`repro.service.client`
-    A JSON-lines unix-socket server and the matching thin client
-    (:class:`ServiceClient` in-process, :class:`SocketClient` over the
-    socket).
+    A JSON-lines unix-socket server and the matching
+    :class:`SocketClient`.
 :mod:`repro.service.cli`
     The ``repro`` console entry point (``serve`` / ``submit`` /
     ``status`` / ``events`` / ``cancel``).
 
-Execution stays on the engine's prepare → dispatch → finish seam
+Every campaign runs through a :class:`repro.exec.engine.CampaignExecutor`,
+the one code path that journals, measures and records
 (:class:`repro.exec.engine.PreparedCampaign`): the service only decides
-*when* each facet-chunked shard runs, never *how* a pair is measured —
-which is why any interleaving of concurrent campaigns reproduces each
-campaign's standalone result bit for bit.
+*when* each facet-chunked shard runs, never *how* a pair is measured or
+recorded — which is why any interleaving of concurrent campaigns
+reproduces each campaign's standalone result bit for bit.
 """
 
 from repro.service.requests import CampaignRequest

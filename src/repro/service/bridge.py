@@ -99,10 +99,10 @@ class EventBroadcast:
 class QueueBridgeSink(CampaignSink):
     """The :class:`~repro.core.stream.CampaignSink` feeding a broadcast.
 
-    Attach it to a campaign's :class:`~repro.core.stream.
-    StreamDispatcher` next to the result accumulator and the journal;
-    it republishes every event onto the loop and flags the broadcast
-    when the stream is interrupted.
+    Pass it to a :class:`~repro.exec.engine.CampaignExecutor` as one of
+    its ``sinks`` (the stream already carries the result accumulator and
+    the journal); it republishes every event onto the loop and flags the
+    broadcast when the stream is interrupted.
     """
 
     def __init__(self, broadcast: EventBroadcast) -> None:

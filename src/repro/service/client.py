@@ -1,23 +1,17 @@
-"""Thin clients for the campaign service.
+"""Unix-socket client for the campaign service.
 
-Two transports behind one four-verb surface (submit / status / events /
-cancel):
+:class:`SocketClient` speaks the JSON-lines protocol of
+:mod:`repro.service.server` over a unix socket, one connection per call,
+behind the four service verbs (submit / status / events / cancel) plus a
+liveness ``ping``.  ``events`` yields the flat wire dicts
+(:func:`~repro.service.server.event_to_wire`); statuses arrive as wire
+dicts too.  This is what the ``repro`` CLI uses.  In-process callers use
+:class:`~repro.service.service.CampaignService` directly: its ``events``
+yields the typed :mod:`repro.core.stream` objects and ``result`` returns
+the real :class:`~repro.core.results.CampaignResult`.
 
-:class:`ServiceClient`
-    In-process: wraps a :class:`~repro.service.service.CampaignService`
-    directly (same event loop).  ``events`` yields the *typed*
-    :mod:`repro.core.stream` objects, and ``result`` returns the real
-    :class:`~repro.core.results.CampaignResult` — this is the embedding
-    API (tests, notebooks, a governor driving campaigns).
-:class:`SocketClient`
-    Remote: speaks the JSON-lines protocol of
-    :mod:`repro.service.server` over a unix socket, one connection per
-    call.  ``events`` yields the flat wire dicts
-    (:func:`~repro.service.server.event_to_wire`); statuses arrive as
-    wire dicts too.  This is what the ``repro`` CLI uses.
-
-Both raise :class:`~repro.errors.ServiceUnavailable` on refused
-operations (draining service, unknown campaign id, server-side error).
+Every call raises :class:`~repro.errors.ServiceUnavailable` on a refused
+operation (draining service, unknown campaign id, server-side error).
 """
 
 from __future__ import annotations
@@ -28,36 +22,8 @@ from pathlib import Path
 
 from repro.errors import ServiceUnavailable
 from repro.service.requests import CampaignRequest
-from repro.service.service import CampaignService
 
-__all__ = ["ServiceClient", "SocketClient"]
-
-
-class ServiceClient:
-    """In-process client: direct calls into a running service."""
-
-    def __init__(self, service: CampaignService) -> None:
-        self.service = service
-
-    async def submit(self, request: CampaignRequest) -> str:
-        """Submit one campaign; returns its id."""
-        return await self.service.submit(request)
-
-    async def status(self, campaign_id: "str | None" = None):
-        """One or all campaign statuses (typed ``CampaignStatus``)."""
-        return self.service.status(campaign_id)
-
-    def events(self, campaign_id: str):
-        """Async iterator of typed stream events (history included)."""
-        return self.service.events(campaign_id)
-
-    async def result(self, campaign_id: str):
-        """Wait for completion; returns the ``CampaignResult``."""
-        return await self.service.result(campaign_id)
-
-    async def cancel(self, campaign_id: str) -> bool:
-        """Cancel; ``True`` if the campaign ended cancelled."""
-        return await self.service.cancel(campaign_id)
+__all__ = ["SocketClient"]
 
 
 class SocketClient:

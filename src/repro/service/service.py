@@ -2,12 +2,16 @@
 
 :class:`CampaignService` is the long-lived front end over the batch
 pipeline.  Each submitted :class:`~repro.service.requests.
-CampaignRequest` becomes one campaign task on the event loop that walks
-the engine's prepare → dispatch → finish seam
-(:class:`~repro.exec.engine.PreparedCampaign`):
+CampaignRequest` becomes one campaign task on the event loop that drives
+a :class:`~repro.exec.engine.CampaignExecutor` through its seam
+(:class:`~repro.exec.engine.PreparedCampaign`).  The executor journals,
+measures and records; the service only shards, schedules, cancels and
+reports status:
 
 1. **Prepare** runs in an executor thread (calibration is real
-   simulation work; the loop never blocks): emits ``CampaignStarted``,
+   simulation work; the loop never blocks): the executor opens the
+   campaign's journal and event stream — the service's progress counter
+   and event bridge ride on it as sinks — and emits ``CampaignStarted``,
    ``FacetPrepared`` (through the shared calibration cache when one is
    configured), ``PairSkipped``, and journal replays.
 2. **Dispatch**: the remaining jobs are cut into facet-homogeneous
@@ -16,10 +20,11 @@ the engine's prepare → dispatch → finish seam
    deficit-round-robin core multiplexes every live campaign's shards
    over one shared :class:`~repro.service.scheduler.WorkerFleet`, so
    concurrent tenants progress in proportion to their weights.  Each
-   shard measures through the engine's supervised in-process unit path
-   (:func:`~repro.exec.supervise.run_units_inprocess` over
-   :func:`~repro.exec.worker.run_pair_job`), so retries and quarantine
-   behave exactly as engine dispatch.
+   shard is one :meth:`~repro.exec.engine.CampaignExecutor.measure_units`
+   call on a fleet thread, so retries and quarantine behave exactly as
+   engine dispatch; the loop thread hands each finished shard to
+   :meth:`~repro.exec.engine.CampaignExecutor.record`, retries before
+   measurements.
 3. **Finish** (executor thread again) sums virtual costs in grid-index
    order and assembles the :class:`~repro.core.results.CampaignResult`.
 
@@ -44,11 +49,9 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from repro.core.journal import CampaignJournal, JournalSink, campaign_fingerprint
-from repro.core.results import ResultAccumulator
 from repro.core.stream import (
     CampaignEvent,
     CampaignFinished,
@@ -56,13 +59,14 @@ from repro.core.stream import (
     PairMeasured,
     PairRetried,
     PairSkipped,
-    StreamDispatcher,
 )
 from repro.errors import ServiceUnavailable
 from repro.exec.engine import CampaignExecutor
-from repro.exec.jobs import SupervisionPolicy
-from repro.exec.supervise import run_units_inprocess
-from repro.exec.worker import fire_worker_faults, run_pair_job
+# Unused here since shards measure through CampaignExecutor.measure_units;
+# kept importable as service attributes because perfbench/spans.py wraps
+# them by name.
+from repro.exec.supervise import run_units_inprocess  # noqa: F401
+from repro.exec.worker import run_pair_job  # noqa: F401
 from repro.service.bridge import EventBroadcast, QueueBridgeSink
 from repro.service.requests import CampaignRequest
 from repro.service.scheduler import FairShareScheduler, WorkerFleet
@@ -93,76 +97,40 @@ class CampaignStatus:
 
     def to_wire(self) -> dict:
         """JSON-ready dict (the socket protocol's status payload)."""
-        return {
-            "campaign_id": self.campaign_id,
-            "tenant": self.tenant,
-            "state": self.state,
-            "total_pairs": self.total_pairs,
-            "measured": self.measured,
-            "skipped": self.skipped,
-            "replayed": self.replayed,
-            "retried": self.retried,
-            "resumed": self.resumed,
-            "wall_virtual_s": self.wall_virtual_s,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 class _CounterSink(CampaignSink):
     """Per-campaign progress counters, fed straight off the stream."""
 
-    def __init__(self, record: "_Campaign") -> None:
-        self.record = record
+    def __init__(self, status: CampaignStatus) -> None:
+        self.status = status
 
     def on_event(self, event: CampaignEvent) -> None:
-        record = self.record
+        status = self.status
         if isinstance(event, PairMeasured):
-            record.measured += 1
+            status.measured += 1
             if event.replayed:
-                record.replayed += 1
+                status.replayed += 1
         elif isinstance(event, PairSkipped):
-            record.skipped += 1
+            status.skipped += 1
         elif isinstance(event, PairRetried):
-            record.retried += 1
+            status.retried += 1
         elif isinstance(event, CampaignFinished):
-            record.wall_virtual_s = event.wall_virtual_s
+            status.wall_virtual_s = event.wall_virtual_s
 
 
 @dataclass
 class _Campaign:
-    """Internal per-campaign record."""
+    """Internal per-campaign record around its live status."""
 
-    campaign_id: str
     request: CampaignRequest
     broadcast: EventBroadcast
-    state: str = "queued"
-    resumed: bool = False
-    total_pairs: int = 0
-    measured: int = 0
-    skipped: int = 0
-    replayed: int = 0
-    retried: int = 0
-    wall_virtual_s: float | None = None
-    error: str | None = None
+    status: CampaignStatus
     result: object = None
     task: "asyncio.Task | None" = None
     cancel_requested: bool = False
     done: asyncio.Event = field(default_factory=asyncio.Event)
-
-    def status(self) -> CampaignStatus:
-        return CampaignStatus(
-            campaign_id=self.campaign_id,
-            tenant=self.request.tenant,
-            state=self.state,
-            total_pairs=self.total_pairs,
-            measured=self.measured,
-            skipped=self.skipped,
-            replayed=self.replayed,
-            retried=self.retried,
-            resumed=self.resumed,
-            wall_virtual_s=self.wall_virtual_s,
-            error=self.error,
-        )
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
@@ -238,12 +206,13 @@ class CampaignService:
                 request = CampaignRequest.from_json(
                     request_file.read_text()
                 )
-                campaign = self._admit(
-                    request,
-                    campaign_id=entry.name,
-                    resume=(entry / "meta.json").is_file(),
+                resumed.append(
+                    self._admit(
+                        request,
+                        campaign_id=entry.name,
+                        resume=(entry / "meta.json").is_file(),
+                    )
                 )
-                resumed.append(campaign.campaign_id)
         return resumed
 
     async def drain(self) -> None:
@@ -257,9 +226,9 @@ class CampaignService:
         """Shut down: optionally drain, else cancel, then stop workers."""
         self._draining = True
         if not drain:
-            for campaign in list(self._campaigns.values()):
+            for campaign_id, campaign in list(self._campaigns.items()):
                 if not campaign.done.is_set():
-                    await self.cancel(campaign.campaign_id)
+                    await self.cancel(campaign_id)
         await self.drain()
         await self.scheduler.close()
         self.fleet.close()
@@ -274,15 +243,14 @@ class CampaignService:
             raise ServiceUnavailable(
                 "service is draining; new campaigns are not accepted"
             )
-        campaign = self._admit(request)
-        return campaign.campaign_id
+        return self._admit(request)
 
     def status(self, campaign_id: "str | None" = None):
         """One campaign's status, or every campaign's (id order)."""
         if campaign_id is not None:
-            return self._get(campaign_id).status()
+            return replace(self._get(campaign_id).status)
         return [
-            self._campaigns[cid].status()
+            replace(self._campaigns[cid].status)
             for cid in sorted(self._campaigns)
         ]
 
@@ -298,11 +266,11 @@ class CampaignService:
         """
         campaign = self._get(campaign_id)
         await campaign.done.wait()
-        if campaign.state == "finished":
+        if campaign.status.state == "finished":
             return campaign.result
-        if campaign.state == "failed":
+        if campaign.status.state == "failed":
             raise ServiceUnavailable(
-                f"campaign {campaign_id} failed: {campaign.error}"
+                f"campaign {campaign_id} failed: {campaign.status.error}"
             )
         raise ServiceUnavailable(f"campaign {campaign_id} was cancelled")
 
@@ -321,7 +289,7 @@ class CampaignService:
             return False
         campaign.cancel_requested = True
         await campaign.done.wait()
-        return campaign.state == "cancelled"
+        return campaign.status.state == "cancelled"
 
     # ------------------------------------------------------------------
     # internals
@@ -347,13 +315,17 @@ class CampaignService:
         request: CampaignRequest,
         campaign_id: "str | None" = None,
         resume: bool = False,
-    ) -> _Campaign:
+    ) -> str:
         if campaign_id is None:
             campaign_id = self._new_id()
         campaign = _Campaign(
-            campaign_id=campaign_id,
             request=request,
             broadcast=EventBroadcast(asyncio.get_event_loop()),
+            status=CampaignStatus(
+                campaign_id=campaign_id,
+                tenant=request.tenant,
+                state="queued",
+            ),
         )
         self._campaigns[campaign_id] = campaign
         self._tenant_active[request.tenant] = (
@@ -370,7 +342,7 @@ class CampaignService:
         campaign.task = asyncio.ensure_future(
             self._run_campaign(campaign, resume=resume)
         )
-        return campaign
+        return campaign_id
 
     def _build_shards(self, executor: CampaignExecutor, prep):
         """Facet-homogeneous job chunks + their cost-model costs."""
@@ -393,92 +365,46 @@ class CampaignService:
     async def _run_campaign(self, campaign: _Campaign, resume: bool) -> None:
         loop = asyncio.get_event_loop()
         request = campaign.request
-        journal: CampaignJournal | None = None
+        status = campaign.status
+        executor = prep = None
         interrupted = False
         try:
-            campaign.state = "preparing"
-            campaign.resumed = resume
+            status.state = "preparing"
+            status.resumed = resume
 
             def prepare_stage():
-                """Machine build + journal open + engine prepare (thread)."""
-                machine = request.build_machine()
-                config = request.build_config(
-                    calibration_cache=self.calibration_cache
+                """Machine build + engine prepare (fleet thread)."""
+                executor = CampaignExecutor(
+                    request.build_machine(),
+                    request.build_config(
+                        calibration_cache=self.calibration_cache
+                    ),
+                    journal=(
+                        None
+                        if self.journal_root is None
+                        else self.journal_root / status.campaign_id
+                    ),
+                    resume=resume,
+                    sinks=(
+                        _CounterSink(status),
+                        QueueBridgeSink(campaign.broadcast),
+                    ),
                 )
-                executor = CampaignExecutor(machine, config, workers=1)
-                opened = None
-                loaded: dict = {}
-                if self.journal_root is not None:
-                    from repro.core.journal import campaign_synopsis
+                return executor, executor.prepare()
 
-                    opened = CampaignJournal.open(
-                        self.journal_root / campaign.campaign_id,
-                        campaign_fingerprint(config, machine.blueprint),
-                        resume=resume,
-                        synopsis=campaign_synopsis(
-                            config, machine.blueprint
-                        ),
-                    )
-                    if resume:
-                        loaded = opened.load()
-                accumulator = ResultAccumulator()
-                dispatch = StreamDispatcher(
-                    accumulator,
-                    JournalSink(opened) if opened is not None else None,
-                    _CounterSink(campaign),
-                    QueueBridgeSink(campaign.broadcast),
-                )
-                prep = executor.prepare(dispatch, loaded)
-                return executor, opened, accumulator, dispatch, prep
-
-            (
-                executor,
-                journal,
-                accumulator,
-                dispatch,
-                prep,
-            ) = await loop.run_in_executor(
+            executor, prep = await loop.run_in_executor(
                 self.fleet.executor, prepare_stage
             )
-            campaign.total_pairs = len(prep.jobs) + len(prep.skips)
-
-            campaign.state = "running"
-            policy = SupervisionPolicy.from_config(executor.config)
-            payload = prep.payload
-            #: per-campaign replica-skeleton cache, shared by this
-            #: campaign's shards only (values are deterministic per key,
-            #: so concurrent shard threads at worst duplicate work)
-            skeleton: dict = {}
+            status.total_pairs = len(prep.jobs) + len(prep.skips)
+            status.state = "running"
 
             def shard_fn(shard_jobs):
                 def fn():
                     retries: list = []
-
-                    def on_retry(unit_jobs, attempts, cause):
-                        retries.append(
-                            (
-                                tuple(j.index for j in unit_jobs),
-                                attempts,
-                                cause,
-                            )
-                        )
-
-                    def measure(unit_jobs):
-                        fire_worker_faults(
-                            unit_jobs, payload, in_process=True
-                        )
-                        return [
-                            run_pair_job(job, payload, skeleton)
-                            for job in unit_jobs
-                        ]
-
-                    results = run_units_inprocess(
+                    results = executor.measure_units(
+                        prep,
                         [shard_jobs],
-                        policy,
-                        None,
-                        lambda _results: None,
-                        measure,
-                        on_retry=on_retry,
+                        on_retry=lambda *retry: retries.append(retry),
                     )
                     return results, retries
 
@@ -508,26 +434,7 @@ class CampaignService:
                     return_when=asyncio.FIRST_COMPLETED,
                 )
                 for future in finished:
-                    results, retries = future.result()
-                    for indices, attempt, cause in retries:
-                        dispatch.emit(
-                            PairRetried(
-                                indices=indices,
-                                attempt=attempt,
-                                cause=cause,
-                            )
-                        )
-                    for res in results:
-                        prep.elapsed_by_index[res.index] = (
-                            res.elapsed_virtual_s
-                        )
-                        dispatch.emit(
-                            PairMeasured(
-                                index=res.index,
-                                pair=res.pair,
-                                elapsed_virtual_s=res.elapsed_virtual_s,
-                            )
-                        )
+                    executor.record(prep, *future.result())
             if campaign.cancel_requested:
                 # Covers a cancel that landed during prepare (or between
                 # the last shard and finish) as well as mid-dispatch.
@@ -540,33 +447,32 @@ class CampaignService:
                 # rest bit-identically).
                 for future in pending:
                     future.cancel()
-                dispatch.interrupt()
-                campaign.state = "cancelled"
+                prep.dispatch.interrupt()
+                status.state = "cancelled"
                 return
 
-            campaign.state = "finishing"
+            status.state = "finishing"
             campaign.result = await loop.run_in_executor(
-                self.fleet.executor,
-                lambda: executor.finish(prep, dispatch, accumulator),
+                self.fleet.executor, executor.finish, prep
             )
             if self.journal_root is not None:
                 _atomic_json(
-                    self.journal_root / campaign.campaign_id / "result.json",
+                    self.journal_root / status.campaign_id / "result.json",
                     {
-                        "campaign_id": campaign.campaign_id,
+                        "campaign_id": status.campaign_id,
                         "tenant": request.tenant,
                         "wall_virtual_s": campaign.result.wall_virtual_s,
                         "n_pairs": len(campaign.result.pairs),
                     },
                 )
-            campaign.state = "finished"
+            status.state = "finished"
         except Exception as exc:
-            campaign.state = "failed"
-            campaign.error = f"{type(exc).__name__}: {exc}"
+            status.state = "failed"
+            status.error = f"{type(exc).__name__}: {exc}"
             interrupted = True
         finally:
-            if journal is not None:
-                journal.close()
+            if prep is not None:
+                executor.close(prep)
             campaign.broadcast.close(interrupted=interrupted)
             remaining = self._tenant_active.get(request.tenant, 1) - 1
             if remaining <= 0:

@@ -7,7 +7,6 @@ from repro.core.phase1 import run_phase1
 from repro.core.phase2 import (
     build_benchmark_kernel,
     run_switch_benchmark,
-    settle_on_frequency,
 )
 from tests.conftest import fast_config
 
@@ -19,13 +18,13 @@ def bench(a100_machine):
 
 class TestSettle:
     def test_settles_on_requested_clock(self, bench):
-        assert settle_on_frequency(bench, 1410.0)
+        assert bench.settle_on(1410.0)
         assert bench.handle.clock_info_sm_mhz() == 1410.0
 
     def test_fixed_settle_mode(self, a100_machine):
         cfg = fast_config((705.0, 1410.0), init_settle_s=0.2)
         bench = BenchContext(a100_machine, cfg)
-        assert settle_on_frequency(bench, 705.0)
+        assert bench.settle_on(705.0)
 
 
 class TestBenchmarkKernel:

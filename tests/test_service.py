@@ -18,9 +18,9 @@ import json
 import pytest
 
 from repro import make_machine, run_campaign
-from repro.core.stream import FacetPrepared, PairMeasured
+from repro.core.stream import FacetPrepared, PairMeasured, PairRetried
 from repro.errors import ConfigError, ServiceUnavailable
-from repro.service.client import ServiceClient, SocketClient
+from repro.service.client import SocketClient
 from repro.service.requests import CampaignRequest
 from repro.service.server import ServiceServer, event_to_wire
 from repro.service.service import CampaignService
@@ -336,6 +336,41 @@ class TestLifecycleEdges:
         assert status.state == "failed"
         assert status.error
 
+    def test_shard_retry_is_recorded_and_bit_identical(self, tmp_path):
+        """A shard that raises once is retried; the result is unchanged."""
+        ref = _standalone(11, output_dir=str(tmp_path / "ref"))
+
+        async def main():
+            service = CampaignService(fleet_size=2)
+            await service.start()
+            campaign_id = await service.submit(
+                _request(
+                    11,
+                    inject_faults="raise@1",
+                    retry_backoff_s=0.0,
+                    output_dir=str(tmp_path / "svc"),
+                )
+            )
+            result = await service.result(campaign_id)
+            retries = [
+                event
+                async for event in service.events(campaign_id)
+                if isinstance(event, PairRetried)
+            ]
+            status = service.status(campaign_id)
+            await service.stop()
+            return result, retries, status
+
+        result, retries, status = asyncio.run(main())
+        assert result.wall_virtual_s == ref.wall_virtual_s
+        assert _csv_bytes(tmp_path / "svc") == _csv_bytes(tmp_path / "ref")
+        assert len(retries) == 1
+        (retry,) = retries
+        assert retry.attempt == 1
+        assert 1 in retry.indices
+        assert retry.cause.startswith("worker-error: FaultInjected")
+        assert status.retried == 1
+
     def test_unknown_campaign_id_rejected(self):
         async def main():
             service = CampaignService(fleet_size=1)
@@ -357,21 +392,20 @@ class TestSharedCalibrationCache:
                 fleet_size=2, calibration_cache=str(cache)
             )
             await service.start()
-            client = ServiceClient(service)
 
             async def facet_events(campaign_id):
                 return [
                     event
-                    async for event in client.events(campaign_id)
+                    async for event in service.events(campaign_id)
                     if isinstance(event, FacetPrepared)
                 ]
 
-            first = await client.submit(_request(11, tenant="alice"))
-            result_a = await client.result(first)
+            first = await service.submit(_request(11, tenant="alice"))
+            result_a = await service.result(first)
             facets_a = await facet_events(first)
 
-            second = await client.submit(_request(11, tenant="bob"))
-            result_b = await client.result(second)
+            second = await service.submit(_request(11, tenant="bob"))
+            result_b = await service.result(second)
             facets_b = await facet_events(second)
             await service.stop()
             return result_a, facets_a, result_b, facets_b
