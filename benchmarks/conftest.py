@@ -9,50 +9,9 @@ bands (GH200 1170/1260/1875 MHz; RTX 930/990 and the mid-band plateau).
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from pathlib import Path
-
 import pytest
 
 from repro import LatestConfig, make_machine, run_campaign
-
-#: the shared benchmark-results file at the repository root
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
-
-
-def update_bench_json(entries: dict) -> None:
-    """Merge ``entries`` into ``BENCH_campaign.json``, atomically.
-
-    Several benchmarks record into the same file (campaign throughput,
-    the memory-intensity ablation, ...); merging instead of overwriting
-    lets them run in any order — and CI runs them as separate steps.
-    The write goes through a temporary file in the same directory plus
-    ``os.replace`` so an interrupted or concurrent bench step can never
-    leave a truncated/corrupt JSON behind: readers always see either the
-    old or the new complete file.
-    """
-    payload: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            payload = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(entries)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=BENCH_JSON.parent, prefix=BENCH_JSON.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp_path, BENCH_JSON)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 #: subsets of the paper's Fig. 3 heatmap axes
 BENCH_FREQUENCIES = {

@@ -15,16 +15,12 @@ bench sweeps ``beta`` and scores detection quality against the injected
   mis-detects — relative errors approach 100 %;
 * moderate-to-high ``beta``: errors collapse to a few percent and stay
   flat, which is why the memory axis defaults to ``beta = 0.70``.
-
-Results are merged into ``BENCH_campaign.json`` under
-``memory_intensity_ablation``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import update_bench_json
 from repro import LatestConfig, make_machine, run_campaign
 
 _SEED = 4242
@@ -106,17 +102,3 @@ def test_memory_intensity_ablation():
     weak = by_beta[0.01]
     if weak["median_rel_error"] is not None:
         assert weak["median_rel_error"] > 2 * strong["median_rel_error"]
-
-    update_bench_json(
-        {
-            "memory_intensity_ablation": {
-                "benchmark": (
-                    "A100 memory-axis campaign (3 HBM P-states, 6 pairs) "
-                    "per kernel memory_intensity"
-                ),
-                "seed": _SEED,
-                "memory_ladder_mhz": list(_MEMORY_LADDER),
-                "rows": rows,
-            }
-        }
-    )

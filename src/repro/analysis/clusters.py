@@ -61,13 +61,6 @@ class ClusterReport:
         )
 
     @property
-    def mean_silhouette(self) -> float:
-        s = self.multi_cluster_silhouettes
-        if s.size == 0:
-            raise MeasurementError("no multi-cluster pairs")
-        return float(s.mean())
-
-    @property
     def min_silhouette(self) -> float:
         s = self.multi_cluster_silhouettes
         if s.size == 0:

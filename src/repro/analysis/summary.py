@@ -28,15 +28,6 @@ class CaseSummary:
     max_ms: float
     max_pair: tuple[float, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "min_ms": self.min_ms,
-            "min_pair": self.min_pair,
-            "mean_ms": self.mean_ms,
-            "max_ms": self.max_ms,
-            "max_pair": self.max_pair,
-        }
-
 
 @dataclass(frozen=True)
 class Table2Row:

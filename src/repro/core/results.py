@@ -412,10 +412,6 @@ class ResultAccumulator:
             self._finished = event
 
     # ------------------------------------------------------------------
-    @property
-    def n_pairs_seen(self) -> int:
-        return len(self._pairs_by_index)
-
     def result(self) -> CampaignResult:
         """Assemble the campaign result (requires ``CampaignFinished``)."""
         started, finished = self._started, self._finished

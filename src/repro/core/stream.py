@@ -58,8 +58,8 @@ Ordering & determinism contract
 * The measurement timeline never observes the stream: emitting events
   advances no virtual clock and draws no RNG state, so a campaign with
   zero sinks, ten sinks, or a crashing-then-replaced sink produces
-  bit-identical results (``BENCH_campaign.json`` ``stream_overhead``
-  tracks the real-time cost).
+  bit-identical results (perfbench's ``stream.emit_s`` layer tracks
+  the real-time cost).
 * An interrupted campaign emits no ``CampaignFinished``; instead the
   driver calls :meth:`StreamDispatcher.interrupt` after the last
   delivered event, which fans out to every sink's ``on_interrupt``

@@ -41,10 +41,6 @@ class MeasurementError(ReproError):
     """The methodology could not produce a valid measurement."""
 
 
-class PairSkippedError(MeasurementError):
-    """A frequency pair was skipped (indistinguishable or power-throttled)."""
-
-
 class ConfigError(ReproError):
     """Invalid benchmark or simulator configuration."""
 

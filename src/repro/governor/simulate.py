@@ -59,18 +59,9 @@ class GovernorRunResult:
         return sum(1 for o in self.outcomes if o.switched)
 
     @property
-    def switch_overhead_s(self) -> float:
-        return sum(o.switch_latency_s for o in self.outcomes if o.switched)
-
-    @property
     def stale_time_s(self) -> float:
         """Total time executed at a frequency other than the requested one."""
         return sum(o.stale_time_s for o in self.outcomes)
-
-    @property
-    def avg_power_w(self) -> float:
-        t = self.total_time_s
-        return self.total_energy_j / t if t else 0.0
 
     def energy_savings_vs(self, baseline: "GovernorRunResult") -> float:
         """Fractional energy saved relative to a baseline run."""

@@ -193,10 +193,6 @@ class DvfsClockDomain:
     def effective_freq_at(self, t: float) -> float:
         return min(self.planned_freq_at(t), self.cap_at(t))
 
-    @property
-    def is_powered(self) -> bool:
-        return self._active_kernels > 0
-
     def idle_since(self, t: float) -> bool:
         """True if the device has been unloaded long enough to drop clocks."""
         if self._active_kernels > 0:

@@ -117,13 +117,6 @@ class PairLatencyModel:
             total_s=latency, mode_index=idx, is_outlier=is_outlier
         )
 
-    def support_median_s(self) -> float:
-        """Median of the primary mode (useful for workload sizing)."""
-        return self.modes[0].median_s
-
-    def worst_mode_median_s(self) -> float:
-        return max(m.median_s for m in self.modes)
-
 
 @dataclass(frozen=True)
 class LatencySample:

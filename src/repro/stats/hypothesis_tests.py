@@ -16,7 +16,7 @@ from scipy import special as sc
 
 from repro.errors import ConfigError
 from repro.stats.descriptive import SampleStats
-from repro.stats.intervals import _welch_dof
+from repro.stats.intervals import welch_dof
 
 __all__ = ["TestResult", "welch_t_test", "z_test", "means_differ"]
 
@@ -48,7 +48,7 @@ def welch_t_test(a: SampleStats, b: SampleStats) -> TestResult:
     if a.n < 2 or b.n < 2:
         raise ConfigError("welch test needs n >= 2 on both sides")
     se = _standard_error(a, b)
-    dof = _welch_dof(a, b)
+    dof = welch_dof(a, b)
     if se == 0.0:
         # Degenerate: identical constants on both sides.
         stat = 0.0 if a.mean == b.mean else math.inf

@@ -76,12 +76,6 @@ def critical_value(confidence: float, dof: float | None) -> float:
     return _cached_critical_value(confidence, float(np.round(dof, DOF_DECIMALS)))
 
 
-def _z_or_t(confidence: float, dof: float | None) -> float:
-    # Retained internal alias (pre-cache name); new code should call
-    # :func:`critical_value`.
-    return critical_value(confidence, dof)
-
-
 def mean_ci(
     stats: SampleStats, confidence: float = 0.95, use_t: bool = True
 ) -> tuple[float, float]:
@@ -104,10 +98,6 @@ def welch_dof(a: SampleStats, b: SampleStats) -> float:
     if denom == 0.0:
         return float("inf")
     return (va + vb) ** 2 / denom
-
-
-# Backwards-compatible private alias.
-_welch_dof = welch_dof
 
 
 def difference_ci(

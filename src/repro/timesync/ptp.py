@@ -71,23 +71,6 @@ class PtpLink:
     spike_prob: float = 0.01
     spike_scale_s: float = 30e-6
 
-    def sample_delay(self, rng: np.random.Generator, direction: str) -> float:
-        """One transport delay (kept for API stability and unit tests).
-
-        The handshake itself uses :meth:`sample_delays` — a different,
-        batched draw order — so calling this does *not* reproduce the
-        draws :func:`synchronize_timers` makes.
-        """
-        sign = 1.0 if direction == "up" else -1.0
-        delay = (
-            self.base_delay_s
-            + sign * self.asymmetry_s
-            + float(rng.exponential(self.jitter_scale_s))
-        )
-        if rng.random() < self.spike_prob:
-            delay += float(rng.exponential(self.spike_scale_s))
-        return max(delay, 1e-9)
-
     def sample_delays(
         self, rng: np.random.Generator, rounds: int
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -196,33 +196,6 @@ class TestBlueprintReplication:
         assert _campaign_fingerprint(a) == _campaign_fingerprint(b)
 
 
-class TestSweepWorkers:
-    def test_sweep_models_parallel_identical(self):
-        from repro.core.sweep import sweep_models
-
-        cfgs = {
-            "A100": fast_config((705.0, 1410.0)),
-            "RTX6000": fast_config((750.0, 1650.0)),
-        }
-        inproc = sweep_models(cfgs, seed=31)
-        parallel = sweep_models(cfgs, seed=31, workers=2)
-        assert inproc.keys() == parallel.keys()
-        for model in inproc:
-            assert _campaign_fingerprint(inproc[model]) == _campaign_fingerprint(
-                parallel[model]
-            )
-
-    def test_sweep_devices_parallel_deterministic(self):
-        from repro.core.sweep import sweep_devices
-
-        cfg = fast_config((705.0, 1410.0))
-        a = sweep_devices(make_machine("A100", n_gpus=2, seed=4), cfg, workers=2)
-        b = sweep_devices(make_machine("A100", n_gpus=2, seed=4), cfg, workers=1)
-        assert len(a) == len(b) == 2
-        for ra, rb in zip(a, b):
-            assert _campaign_fingerprint(ra) == _campaign_fingerprint(rb)
-
-
 class TestBatchAwareCostModel:
     def _probe(self, latencies):
         return ProbeInfo(

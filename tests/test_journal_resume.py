@@ -75,6 +75,18 @@ class TestInterruptResumeAxes:
         assert _csv_bytes(tmp_path / "res") == golden_csv
 
 
+    def test_journaled_campaign_equals_unjournaled(self, tmp_path):
+        # The per-pair journal append touches neither the virtual clock
+        # nor the RNG streams.
+        cfg = _axis_config("sm_core")
+        plain = run_campaign(_machine(), cfg, workers=1)
+        journaled = run_campaign(
+            _machine(), cfg, workers=1, journal=tmp_path / "journal"
+        )
+        assert _campaign_fingerprint(journaled) == _campaign_fingerprint(plain)
+        assert journaled.wall_virtual_s == plain.wall_virtual_s
+
+
 class TestResumeValidation:
     def _interrupted_journal(self, tmp_path, **cfg_overrides):
         journal_dir = tmp_path / "journal"

@@ -258,6 +258,20 @@ class TestCsvStreamSink:
         write_campaign_csvs(tmp_path / "batch", result)
         assert _csv_bytes(tmp_path / "stream") == _csv_bytes(tmp_path / "batch")
 
+    def test_sinks_do_not_perturb_measurements(self, tmp_path):
+        # Emitting events advances no virtual clock and draws no RNG:
+        # the stock sinks attached or not, the campaign is the same.
+        cfg = _axis_config("sm_core")
+        plain = run_campaign(make_machine("A100", seed=77), cfg)
+        sinks = (
+            ProgressSink(out=StringIO()),
+            CsvStreamSink(tmp_path / "stream"),
+            RecordingSink(),
+        )
+        with_sinks = run_campaign(make_machine("A100", seed=77), cfg, sinks=sinks)
+        assert _campaign_fingerprint(with_sinks) == _campaign_fingerprint(plain)
+        assert with_sinks.wall_virtual_s == plain.wall_virtual_s
+
     def test_interrupted_campaign_writes_marked_partial_summary(self, tmp_path):
         sink = CsvStreamSink(tmp_path / "stream")
         with pytest.raises(CampaignInterrupted):

@@ -30,16 +30,11 @@ class TestSweeps:
         b = results[1].pair(705.0, 1410.0).latencies_s(False)
         assert not (a[: len(b)] == b[: len(a)]).all()
 
-    def test_device_sweep_identical_for_any_worker_count(self, tmp_path):
-        # The default call, workers=1 and workers=2 all measure each
-        # device on its own blueprint replica: same CSV bytes, same
-        # virtual wall clock per device.
-        runs = {}
-        for label, kwargs in (
-            ("default", {}),
-            ("w1", {"workers": 1}),
-            ("w2", {"workers": 2}),
-        ):
+    def test_device_sweep_identical_for_any_device_subset(self, tmp_path):
+        # Each device is measured on its own blueprint replica of the
+        # node: sweeping one device alone gives the same CSV bytes and
+        # virtual wall clock as sweeping it beside the others.
+        def sweep(label, indices):
             out = tmp_path / label
             config = fast_config(
                 (705.0, 1410.0),
@@ -48,19 +43,22 @@ class TestSweeps:
                 output_dir=str(out),
             )
             machine = make_machine("A100", n_gpus=2, seed=21)
-            results = sweep_devices(machine, config, **kwargs)
-            csvs = {
-                index: {
-                    path.name: path.read_bytes()
-                    for path in sorted(out.glob(f"*gpu{index}*.csv"))
-                }
-                for index in (0, 1)
+            results = sweep_devices(machine, config, device_indices=indices)
+            return {
+                r.device_index: (
+                    {
+                        path.name: path.read_bytes()
+                        for path in sorted(out.glob(f"*gpu{r.device_index}*.csv"))
+                    },
+                    r.wall_virtual_s,
+                )
+                for r in results
             }
-            runs[label] = (csvs, [r.wall_virtual_s for r in results])
-        csvs = runs["default"][0]
-        assert all(csvs[index] for index in (0, 1))
-        assert runs["w1"] == runs["default"]
-        assert runs["w2"] == runs["default"]
+
+        both = sweep("both", None)
+        assert all(both[index][0] for index in (0, 1))
+        assert sweep("only0", [0]) == {0: both[0]}
+        assert sweep("only1", [1]) == {1: both[1]}
 
     def test_device_sweep_validates_indices(self):
         machine = make_machine("A100", seed=21)
