@@ -222,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream-csv",
         default=None,
         metavar="DIR",
-        help="write each pair's CSV to DIR the moment its result lands on "
-        "the campaign event stream (instead of after the campaign); the "
+        help="write each pair's CSV to DIR as its result lands on the "
+        "campaign event stream (with --journal, once the journal has "
+        "fsync'd it; instead of after the campaign); the "
         "final files are byte-identical to the --output-dir batch writer, "
         "and an interrupted campaign keeps every pair CSV written so far",
     )

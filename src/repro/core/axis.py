@@ -93,10 +93,6 @@ class MeasurementAxis:
         """Issue the locked-clock request; returns the ground-truth record."""
         raise NotImplementedError
 
-    def clock_info_mhz(self, bench) -> float:
-        """Current effective clock of this domain (NVML readback)."""
-        raise NotImplementedError
-
     def settle(self, bench, freq_mhz: float) -> bool:
         """Bring the swept clock to ``freq_mhz`` under sustained load."""
         raise NotImplementedError
@@ -154,9 +150,6 @@ class SmCoreAxis(MeasurementAxis):
     def set_clock(self, bench, freq_mhz: float):
         return bench.set_frequency(freq_mhz)
 
-    def clock_info_mhz(self, bench) -> float:
-        return bench.handle.clock_info_sm_mhz()
-
     def settle(self, bench, freq_mhz: float) -> bool:
         return bench.settle_on(freq_mhz)
 
@@ -191,9 +184,6 @@ class MemoryAxis(MeasurementAxis):
 
     def set_clock(self, bench, freq_mhz: float):
         return bench.handle.set_memory_locked_clocks(freq_mhz, freq_mhz)
-
-    def clock_info_mhz(self, bench) -> float:
-        return bench.handle.clock_info_mem_mhz()
 
     def settle(self, bench, freq_mhz: float) -> bool:
         """Lock the memory clock and wait (under load) until it settles.
@@ -259,10 +249,6 @@ class PowerCapAxis(MeasurementAxis):
 
     def set_clock(self, bench, limit_w: float):
         return bench.handle.set_power_limit(limit_w)
-
-    def clock_info_mhz(self, bench) -> float:
-        """Readback of the swept coordinate: the *enforced* limit in W."""
-        return bench.handle.enforced_power_limit_w()
 
     def settle(self, bench, limit_w: float) -> bool:
         """Set the limit and wait (under load) for the cap to be enforced."""

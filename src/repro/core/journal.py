@@ -4,7 +4,7 @@ Long campaigns (thousand-pair core×memory grids, soak sweeps) must not
 lose every measured :class:`~repro.core.results.PairResult` to one worker
 crash or Ctrl-C.  This module is the durability substrate underneath
 :mod:`repro.exec.engine`: an **append-only on-disk ledger** that records
-each completed pair result the moment it lands on the driver, keyed by a
+each completed pair result as the driver records it, keyed by a
 **campaign fingerprint** so a resumed run can prove it continues *the
 same* campaign.
 
@@ -31,10 +31,12 @@ On-disk format
 ``<dir>/pairs.log``
     Append-only framed records.  Each frame is an 8-byte header
     (``<II``: payload length, CRC32) followed by a pickled
-    ``(index, elapsed_virtual_s, PairResult)`` tuple.  Appends are
-    flushed and fsync'd per record, so even a SIGKILL mid-campaign loses
-    at most the in-flight pairs; a torn tail frame (crash mid-write) is
-    detected by length/CRC and ignored on load.
+    ``(index, elapsed_virtual_s, PairResult)`` tuple.  Every append is
+    flushed to the OS at once, so a killed process (SIGKILL) loses at
+    most the in-flight pairs.  The fsync runs once per recorded group
+    (:class:`JournalSink`), so a power loss costs at most the last
+    group, which resume simply re-measures; a torn tail frame (crash
+    mid-write) is detected by length/CRC and ignored on load.
 
 The fingerprint is a canonical content digest
 (:mod:`repro.core.fingerprint`) of every result-affecting configuration
@@ -129,8 +131,10 @@ class CampaignJournal:
 
     Use :meth:`open` — it creates a fresh journal or (with
     ``resume=True``) validates and reopens an existing one.  ``append``
-    is durable per call (flush + fsync); ``load`` returns every intact
-    record.  Instances are context managers.
+    writes and flushes one record to the OS; ``sync`` fsyncs everything
+    appended so far (a record survives power loss only once synced);
+    ``load`` returns every intact record.  Instances are context
+    managers, and ``close`` syncs.
     """
 
     def __init__(
@@ -215,19 +219,22 @@ class CampaignJournal:
     def append(
         self, index: int, pair: "PairResult", elapsed_virtual_s: float
     ) -> None:
-        """Durably record one completed pair (flushed + fsync'd)."""
+        """Record one completed pair, flushed to the OS (not yet synced)."""
         blob = pickle.dumps(
             (int(index), float(elapsed_virtual_s), pair),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        self._fh.write(_FRAME.pack(len(blob), zlib.crc32(blob)))
-        self._fh.write(blob)
+        self._fh.write(_FRAME.pack(len(blob), zlib.crc32(blob)) + blob)
         self._fh.flush()
+
+    def sync(self) -> None:
+        """Make every appended record durable (one fsync)."""
         os.fsync(self._fh.fileno())
 
     def _iter_records(self) -> Iterator[tuple[int, float, "PairResult"]]:
         path = self.directory / "pairs.log"
         self.n_corrupt_tail = 0
+        self._intact_size = 0
         if not path.exists():
             return
         with path.open("rb") as fh:
@@ -246,6 +253,7 @@ class CampaignJournal:
                     # anything after it) is safe — the pair simply re-runs.
                     self.n_corrupt_tail += 1
                     return
+                self._intact_size += _FRAME.size + length
                 index, elapsed, pair = pickle.loads(blob)
                 yield index, elapsed, pair
 
@@ -255,10 +263,16 @@ class CampaignJournal:
         Duplicate indices keep the first occurrence — a duplicate can
         only come from an at-least-once redelivery of the same
         deterministic result, so the copies are bit-identical anyway.
+        A torn tail is cut off the log (and the cut synced), so records
+        appended after a resume stay readable instead of sitting behind
+        bytes that stop every later load.
         """
         records: dict[int, tuple["PairResult", float]] = {}
         for index, elapsed, pair in self._iter_records():
             records.setdefault(index, (pair, elapsed))
+        if self.n_corrupt_tail:
+            self._fh.truncate(self._intact_size)
+            self.sync()
         return records
 
     # ------------------------------------------------------------------
@@ -279,20 +293,37 @@ class JournalSink:
     """Stream sink making the journal a durable consumer of pair events.
 
     Appends every live ``PairMeasured`` event the moment it is dispatched
-    (flush + fsync per record).  Replayed events are already durable —
-    they *came* from this journal — and planned ``PairSkipped`` events
-    are recomputed from phase 1 on every run, so neither is re-appended;
-    the on-disk ledger stays exactly the set of measured pairs.
+    (written and flushed to the OS) and commits with one fsync per
+    group: on the last event of a
+    :meth:`~repro.core.stream.StreamDispatcher.emit_group` call, or on
+    every event emitted outside a group.  The dispatcher holds the
+    group's events back from the sinks after this one until that fsync
+    returns, so no downstream sink shows a pair the journal could lose.
+    Replayed events are already durable — they *came* from this journal
+    — and planned ``PairSkipped`` events are recomputed from phase 1 on
+    every run, so neither is re-appended; the on-disk ledger stays
+    exactly the set of measured pairs.
     """
+
+    #: marks the stream's commit point for :class:`~repro.core.stream.StreamDispatcher`
+    durable = True
 
     def __init__(self, journal: CampaignJournal) -> None:
         self.journal = journal
+        #: set by the dispatcher while a group has events still to come
+        self.defer_commit = False
+        self._unsynced = False
 
     def on_event(self, event) -> None:
+        """Append a live pair; fsync unless the group has more to come."""
         from repro.core.stream import PairMeasured
 
         if isinstance(event, PairMeasured) and not event.replayed:
             self.journal.append(event.index, event.pair, event.elapsed_virtual_s)
+            self._unsynced = True
+        if self._unsynced and not self.defer_commit:
+            self.journal.sync()
+            self._unsynced = False
 
 
 def replay_events(

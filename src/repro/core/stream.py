@@ -66,15 +66,23 @@ Ordering & determinism contract
   hook exactly once — the seam partial-output writers (e.g. the
   ``# interrupted`` summary footer of
   :class:`~repro.core.csvio.CsvStreamSink`) hang off.
+* Durability first: a sink registered after the journal sees a live
+  ``PairMeasured`` only once the journal has fsync'd it, so no
+  downstream sink (CSV, progress, service bridge) ever shows a pair
+  that a crash could still take out of the journal.
 
 Sinks
 -----
 A sink is anything with an ``on_event(event)`` method
 (:class:`CampaignSink` is the no-op base).  The
 :class:`StreamDispatcher` fans each event out to its sinks in
-registration order, synchronously, on the driver thread — sink effects
-(journal fsync, CSV write) are therefore ordered with respect to each
-other exactly as their events were emitted.
+registration order, synchronously, on the driver thread.  Sinks up to
+and including the durable one (the journal) get each event at once.
+Events emitted as one group (:meth:`StreamDispatcher.emit_group`, one
+per recorded batch) reach the sinks after it only once the journal has
+committed the group with one fsync; they still arrive in emission
+order, so sink effects (journal append, CSV write) stay ordered with
+respect to each other exactly as their events were emitted.
 """
 
 from __future__ import annotations
@@ -194,9 +202,12 @@ class CampaignFinished(CampaignEvent):
 class CampaignSink:
     """Base sink: receives every event; override :meth:`on_event`.
 
-    Sinks run synchronously on the driver thread.  A sink must never
-    mutate event payloads — the same ``PairResult`` object feeds every
-    sink and the final :class:`~repro.core.results.CampaignResult`.
+    Sinks run synchronously on the driver thread, in emission order; a
+    sink registered after the journal gets a group's events once the
+    journal has fsync'd them (see :class:`StreamDispatcher`).  A sink
+    must never mutate event payloads — the same ``PairResult`` object
+    feeds every sink and the final
+    :class:`~repro.core.results.CampaignResult`.
     """
 
     def on_event(self, event: CampaignEvent) -> None:  # pragma: no cover
@@ -216,18 +227,70 @@ class StreamDispatcher:
     """Fan one campaign event stream out to many sinks, in order.
 
     ``None`` entries are dropped so call sites can pass optional sinks
-    unconditionally.  Dispatch is synchronous: an event is delivered to
-    every sink before :meth:`emit` returns, so per-sink side effects
-    (journal append, CSV write) happen in emission order.
+    unconditionally.  A sink with a true ``durable`` attribute (the
+    :class:`~repro.core.journal.JournalSink`) is the stream's commit
+    point.  It and every sink before it get each event before
+    :meth:`emit` returns.  The sinks after it get an event at once as
+    well, except inside :meth:`emit_group`: there they get the group's
+    events, in order, right after the durable sink has committed the
+    group on its last event.  Every event passes through :meth:`emit`
+    exactly once either way.
     """
 
     def __init__(self, *sinks: "CampaignSink | None") -> None:
-        self.sinks: list[CampaignSink] = [s for s in sinks if s is not None]
+        self.sinks: tuple[CampaignSink, ...] = tuple(
+            s for s in sinks if s is not None
+        )
+        self._durable = [s for s in self.sinks if getattr(s, "durable", False)]
+        split = (
+            self.sinks.index(self._durable[-1]) + 1
+            if self._durable
+            else len(self.sinks)
+        )
+        self._front = self.sinks[:split]
+        self._back = self.sinks[split:]
+        #: events of the open group not yet delivered to ``_back``
+        self._held: "list[CampaignEvent] | None" = None
+        self._deferring = False
 
     def emit(self, event: CampaignEvent) -> None:
         """Deliver one event to every sink, in registration order."""
-        for sink in self.sinks:
+        for sink in self._front:
             sink.on_event(event)
+        held = self._held
+        if held is None:
+            held = (event,)
+        else:
+            held.append(event)
+            if self._deferring:
+                return
+            self._held = None
+        for event in held:
+            for sink in self._back:
+                sink.on_event(event)
+
+    def emit_group(self, events: Iterable[CampaignEvent]) -> None:
+        """Deliver events as one durable group: one journal fsync.
+
+        The durable sinks defer their commit until the group's last
+        event; the sinks after them get the whole group, in order, once
+        that commit has returned.  If a sink raises mid-group, the sinks
+        after the durable one never see the group's uncommitted events.
+        """
+        events = list(events)
+        self._held = []
+        try:
+            for n, event in enumerate(events, 1):
+                self._defer(n < len(events))
+                self.emit(event)
+        finally:
+            self._defer(False)
+            self._held = None
+
+    def _defer(self, deferring: bool) -> None:
+        self._deferring = deferring
+        for sink in self._durable:
+            sink.defer_commit = deferring
 
     def emit_all(self, events: Iterable[CampaignEvent]) -> None:
         """Deliver a sequence of events, preserving their order."""

@@ -1,7 +1,13 @@
 """Tests for CSV persistence and the LATEST naming convention."""
 
+import csv
+import io
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.csvio import (
     pair_csv_name,
@@ -11,7 +17,11 @@ from repro.core.csvio import (
     write_campaign_csvs,
     write_pair_csv,
 )
-from repro.core.results import PairResult, SwitchingLatencyMeasurement
+from repro.core.results import (
+    OutlierLabels,
+    PairResult,
+    SwitchingLatencyMeasurement,
+)
 from repro.errors import MeasurementError
 
 
@@ -203,3 +213,85 @@ class TestCampaignOutput:
         run_campaign(machine, config)
         files = list((tmp_path / "out").glob("*.csv"))
         assert len(files) >= 3  # two pairs + summary
+
+
+_FIELDS = [
+    "index", "latency_ms", "ts_acc_s", "te_acc_s", "n_valid_sm",
+    "window_iterations", "cluster_label", "is_outlier", "ground_truth_ms",
+    "ground_truth_outlier",
+]
+_seconds = st.floats(-1e6, 1e6, allow_nan=False)
+_measurements = st.builds(
+    SwitchingLatencyMeasurement,
+    latency_s=_seconds,
+    ts_acc=_seconds,
+    te_acc=_seconds,
+    n_valid_sm=st.integers(0, 512),
+    window_iterations=st.integers(0, 10**6),
+    ground_truth_s=st.none() | _seconds,
+    ground_truth_outlier=st.booleans(),
+)
+
+
+@st.composite
+def _pairs(draw):
+    measurements = draw(st.lists(_measurements, min_size=1, max_size=12))
+    k = draw(st.integers(1, 5))
+    labels = draw(
+        st.none()
+        | st.lists(
+            st.sampled_from((-1, 0, k)),
+            min_size=len(measurements),
+            max_size=len(measurements),
+        )
+    )
+    return PairResult(
+        init_mhz=705.0,
+        target_mhz=1410.0,
+        measurements=measurements,
+        outliers=(
+            None
+            if labels is None
+            else OutlierLabels(labels=np.asarray(labels, dtype=np.int64))
+        ),
+    )
+
+
+def _dictwriter_bytes(pair):
+    """The bytes the csv.DictWriter pair writer produced."""
+    labels = (
+        pair.outliers.labels
+        if pair.outliers is not None
+        else np.zeros(len(pair.measurements), dtype=int)
+    )
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(out, fieldnames=_FIELDS)
+    writer.writeheader()
+    for i, m in enumerate(pair.measurements):
+        writer.writerow(
+            {
+                "index": i,
+                "latency_ms": f"{m.latency_s * 1e3:.6f}",
+                "ts_acc_s": f"{m.ts_acc:.9f}",
+                "te_acc_s": f"{m.te_acc:.9f}",
+                "n_valid_sm": m.n_valid_sm,
+                "window_iterations": m.window_iterations,
+                "cluster_label": int(labels[i]),
+                "is_outlier": int(labels[i] == -1),
+                "ground_truth_ms": (
+                    f"{m.ground_truth_s * 1e3:.6f}"
+                    if m.ground_truth_s is not None
+                    else ""
+                ),
+                "ground_truth_outlier": int(m.ground_truth_outlier),
+            }
+        )
+    return out.getvalue().encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_pairs())
+def test_pair_csv_bytes_match_dictwriter(pair):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_pair_csv(tmp, pair, "h", 0)
+        assert path.read_bytes() == _dictwriter_bytes(pair)
