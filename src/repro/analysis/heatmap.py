@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.results import CampaignResult
-from repro.errors import MeasurementError
 
 __all__ = ["HeatmapGrid", "heatmap_from_campaign", "heatmaps_by_memory"]
 
@@ -54,29 +53,6 @@ class HeatmapGrid:
     def finite_values(self) -> np.ndarray:
         v = self.values_ms[np.isfinite(self.values_ms)]
         return v
-
-    def global_max(self) -> tuple[float, tuple[float, float]]:
-        """Largest value and its (init, target) pair."""
-        if not np.isfinite(self.values_ms).any():
-            raise MeasurementError("empty heatmap")
-        idx = np.unravel_index(
-            np.nanargmax(self.values_ms), self.values_ms.shape
-        )
-        pair = (self.frequencies_mhz[idx[0]], self.frequencies_mhz[idx[1]])
-        return float(self.values_ms[idx]), pair
-
-    def global_min(self) -> tuple[float, tuple[float, float]]:
-        if not np.isfinite(self.values_ms).any():
-            raise MeasurementError("empty heatmap")
-        idx = np.unravel_index(
-            np.nanargmin(self.values_ms), self.values_ms.shape
-        )
-        pair = (self.frequencies_mhz[idx[0]], self.frequencies_mhz[idx[1]])
-        return float(self.values_ms[idx]), pair
-
-    def row_means_ms(self) -> np.ndarray:
-        """Mean per initial frequency (ignoring NaN)."""
-        return np.nanmean(self.values_ms, axis=1)
 
     def column_means_ms(self) -> np.ndarray:
         """Mean per target frequency — the dominant pattern of Fig. 3."""

@@ -56,13 +56,6 @@ class DbscanResult:
         )
         return counts.tolist()
 
-    def largest_cluster(self) -> int:
-        """Label of the most populous cluster (-1 if everything is noise)."""
-        sizes = self.cluster_sizes()
-        if not sizes:
-            return NOISE
-        return int(np.argmax(sizes))
-
 
 def _neighbors_1d(x_sorted: np.ndarray, order: np.ndarray, eps: float):
     """Neighbour lists (in original indexing) for sorted 1-D data.

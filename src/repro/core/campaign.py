@@ -14,7 +14,8 @@ holds the pieces it runs on those replicas:
   every 25 passes), with throttle checks every five passes — thermal
   throttling discards the newest five measurements and backs off ten
   seconds, power throttling skips the pair entirely — followed by
-  adaptive DBSCAN outlier labelling per pair (Algorithm 3).
+  adaptive DBSCAN outlier labelling per pair (Algorithm 3).  The passes
+  run in speculated blocks (:mod:`repro.core.passblock`).
 """
 
 from __future__ import annotations
@@ -27,18 +28,17 @@ import numpy as np
 from repro.clustering.adaptive import adaptive_dbscan
 from repro.core.config import LatestConfig
 from repro.core.context import BenchContext
+from repro.core.passblock import run_pass_blocks
 from repro.core.phase1 import Phase1Result
 from repro.core.phase2 import run_switch_benchmark
 from repro.core.phase3 import evaluate_switch
-from repro.core.results import PairResult, SwitchingLatencyMeasurement
+from repro.core.results import PairResult
 from repro.errors import MeasurementError
-from repro.gpusim.thermal import ThrottleReasons
 
 __all__ = [
     "ProbeInfo",
     "facet_skip_reason",
     "measure_pair",
-    "measure_pair_reference",
     "probe_windows",
 ]
 
@@ -173,121 +173,18 @@ def measure_pair(
     """Measure one frequency pair until the RSE stopping rule fires.
 
     The execution engine runs it against a per-pair replica machine, in
-    process or in a worker process.
-
-    Dispatches to the batched pass-block pipeline
-    (:mod:`repro.core.passblock`) unless ``config.pass_block_size`` is
-    ``None`` — both paths produce bit-identical results; the scalar loop
-    below is the reference implementation.
+    process or in a worker process.  Phases 2 and 3 repeat in pass blocks
+    (:func:`repro.core.passblock.run_pass_blocks`) from the probe-sized
+    switch window; pairs with enough measurements then get the
+    Algorithm-3 outlier labelling.
     """
-    block = bench.config.pass_block_size
-    if block is not None:
-        from repro.core.passblock import measure_pair_blocked
-
-        return measure_pair_blocked(
-            bench, init_mhz, target_mhz, phase1, probe, block
-        )
-    return measure_pair_reference(bench, init_mhz, target_mhz, phase1, probe)
-
-
-def measure_pair_reference(
-    bench: BenchContext,
-    init_mhz: float,
-    target_mhz: float,
-    phase1: Phase1Result,
-    probe: ProbeInfo,
-) -> PairResult:
-    """The scalar reference loop: one pass simulated, evaluated, decided.
-
-    Retained verbatim as the semantic definition of the per-pair
-    measurement procedure; ``tests/test_core_passblock.py`` asserts the
-    batched pipeline reproduces it bit for bit.
-    """
-    cfg = bench.config
-    kernel = phase1.kernel
-    target_stats = phase1.stats_for(target_mhz)
-    rule = cfg.stopping_rule()
-
-    pair = PairResult(
-        init_mhz=float(init_mhz), target_mhz=float(target_mhz), axis=cfg.axis
+    window_iters = _initial_window_iters(
+        bench, init_mhz, target_mhz, probe, phase1.kernel
     )
-    window_iters = _initial_window_iters(bench, init_mhz, target_mhz, probe, kernel)
-    growths = 0
-    consecutive_failures = 0
-    passes = 0
-
-    while True:
-        try:
-            raw = run_switch_benchmark(
-                bench, init_mhz, target_mhz, kernel, window_iters
-            )
-        except MeasurementError:
-            pair.n_failed_attempts += 1
-            consecutive_failures += 1
-            if consecutive_failures >= cfg.max_consecutive_failures:
-                pair.skipped = True
-                pair.skip_reason = "initial-frequency-never-settled"
-                break
-            continue
-        passes += 1
-
-        # Throttle handling (paper Sec. VI): every five passes.  On the
-        # power-cap axis SW_POWER_CAP is the measured signal itself
-        # (axis.benign_throttle), not a reason to abandon the pair.
-        if passes % cfg.throttle_check_every == 0:
-            reasons = raw.throttle_reasons
-            if reasons & (
-                ThrottleReasons.SW_POWER_CAP & ~bench.axis.benign_throttle
-            ):
-                pair.skipped = True
-                pair.skip_reason = "power-throttled"
-                break
-            if reasons & (ThrottleReasons.SW_THERMAL | ThrottleReasons.HW_THERMAL):
-                drop = min(cfg.throttle_discard_count, len(pair.measurements))
-                if drop:
-                    del pair.measurements[-drop:]
-                pair.n_throttle_discards += drop
-                bench.host.sleep(cfg.throttle_backoff_s)
-                continue
-
-        ev = evaluate_switch(raw, target_stats, cfg)
-        if ev.ok:
-            consecutive_failures = 0
-            pair.measurements.append(
-                SwitchingLatencyMeasurement(
-                    latency_s=float(ev.latency_s),
-                    ts_acc=raw.ts_acc,
-                    te_acc=float(ev.te_acc),
-                    n_valid_sm=ev.n_valid_sm,
-                    window_iterations=window_iters,
-                    ground_truth_s=raw.ground_truth_latency_s,
-                    ground_truth_outlier=raw.ground_truth_outlier,
-                )
-            )
-            if rule.should_stop([m.latency_s for m in pair.measurements]):
-                break
-            continue
-
-        # Failed evaluation: grow the window when the latency escaped
-        # it ("repeated with a ten-times longer workload", Sec. V);
-        # otherwise simply repeat phases two and three.
-        pair.n_failed_attempts += 1
-        consecutive_failures += 1
-        if ev.window_too_short and growths < cfg.max_window_retries:
-            window_iters = int(
-                math.ceil(window_iters * cfg.window_growth_factor)
-            )
-            growths += 1
-            pair.n_window_growths += 1
-            consecutive_failures = 0
-        elif consecutive_failures >= cfg.max_consecutive_failures:
-            if not pair.measurements:
-                pair.skipped = True
-                pair.skip_reason = "no-viable-measurements"
-            break
-
+    pair = run_pass_blocks(bench, init_mhz, target_mhz, phase1, window_iters)
     if len(pair.measurements) >= _MIN_FOR_OUTLIER_FILTER:
         pair.outliers = adaptive_dbscan(
-            [m.latency_s for m in pair.measurements], cfg.outlier_config
+            [m.latency_s for m in pair.measurements],
+            bench.config.outlier_config,
         )
     return pair

@@ -9,7 +9,7 @@ paper's defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.clustering.adaptive import AdaptiveDbscanConfig
 from repro.core.axis import MeasurementAxis, axis_by_name
@@ -146,17 +146,6 @@ class LatestConfig:
     #: (:mod:`repro.exec.faults`); ``None`` (production) injects nothing
     inject_faults: str | None = None
 
-    # ----- execution ----------------------------------------------------
-    #: upper bound on the pass-block size of the batched per-pair loop
-    #: (:mod:`repro.core.passblock`); blocks are additionally clipped so a
-    #: stopping-rule check can only land on the final pass of a block.
-    #: ``None`` forces the scalar reference loop
-    #: (:func:`repro.core.campaign.measure_pair_reference`).  Results are
-    #: bit-identical for every setting; this knob only trades batching
-    #: efficiency against speculation (rolled back on mid-block state
-    #: changes).  25 mirrors the paper's RSE check cadence.
-    pass_block_size: int | None = 25
-
     # ----- outlier filtering (Algorithm 3) ------------------------------
     outlier_config: AdaptiveDbscanConfig = field(default_factory=AdaptiveDbscanConfig)
 
@@ -234,8 +223,6 @@ class LatestConfig:
             raise ConfigError("max_measurements below min_measurements")
         if self.delay_iterations < 1 or self.confirm_iterations < 1:
             raise ConfigError("delay/confirm iteration counts must be >= 1")
-        if self.pass_block_size is not None and self.pass_block_size < 1:
-            raise ConfigError("pass_block_size must be >= 1 (or None)")
         if self.job_timeout_factor is not None and self.job_timeout_factor <= 0:
             raise ConfigError("job_timeout_factor must be positive (or None)")
         if self.job_timeout_floor_s < 0:
@@ -317,23 +304,3 @@ class LatestConfig:
         if plan is not None:
             return plan
         return (None,)
-
-    def grid_points(self) -> list[tuple[float, float, float | None]]:
-        """The full core×memory campaign grid, memory-major.
-
-        Each point is ``(init_sm, target_sm, memory)``; the memory
-        coordinate is ``None`` for legacy campaigns.  The enumeration
-        order is the execution (and job-index) order.
-        """
-        return [
-            (a, b, m) for m in self.memory_plan() for (a, b) in self.pairs()
-        ]
-
-    def with_frequencies(self, freqs) -> "LatestConfig":
-        return replace(self, frequencies=tuple(freqs))
-
-    def with_memory_frequencies(self, freqs) -> "LatestConfig":
-        return replace(
-            self,
-            memory_frequencies=None if freqs is None else tuple(freqs),
-        )

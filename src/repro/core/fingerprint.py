@@ -13,10 +13,10 @@ digest, in any process and after any history.
 
 :data:`EXECUTION_ONLY_FIELDS` names the config fields that provably
 cannot change a measurement — output location, fault injection,
-supervision knobs, the pass-block batching width and the calibration
-cache location.  The executor's bit-identity contract guarantees they
-only change scheduling, so every content key leaves them out and a
-resumed or cached campaign may legitimately vary them.
+supervision knobs and the calibration cache location.  The executor's
+bit-identity contract guarantees they only change scheduling, so every
+content key leaves them out and a resumed or cached campaign may
+legitimately vary them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
         "max_job_retries",
         "retry_backoff_s",
         "retry_backoff_max_s",
-        "pass_block_size",
         "calibration_cache",
     }
 )

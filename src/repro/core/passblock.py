@@ -1,22 +1,23 @@
-"""Batched pass-block execution of the per-pair measurement loop.
+"""Pass-block execution of the per-pair measurement loop.
 
-The scalar reference loop (:func:`repro.core.campaign.measure_pair_reference`)
-runs one full measurement pass at a time: PTP handshake, settle, benchmark
-kernel, frequency change, then the phase-3 evaluation — and only then
-decides what the next pass looks like.  Almost all of that decision logic
-is cheap scalar state, while almost all of the *work* is array math whose
-per-pass fixed costs dominate at campaign scale.
+The per-pair procedure (paper Sec. VI) runs one measurement pass at a
+time: PTP handshake, settle, benchmark kernel, frequency change, then the
+phase-3 evaluation — and only then decides what the next pass looks
+like.  Almost all of that decision logic is cheap scalar state, while
+almost all of the *work* is array math whose per-pass fixed costs
+dominate at campaign scale.
 
-This module restructures the loop around **pass blocks**:
+This module runs the loop as **pass blocks**:
 
-1.  *Speculate.*  Up to ``B`` passes are simulated back to back under the
-    assumption that every deferred evaluation will succeed with the current
-    switch window.  Each pass performs exactly the scalar path's RNG draws
-    and clock advances (the simulation side is untouched); only the pure
-    array analysis — per-iteration boundary inversion, device-clock
-    conversion, phase-3 detection and CI confirmation — is deferred.
-    Throttle checks and settle failures depend on nothing deferred, so
-    they are handled eagerly at the scalar cadence.  After every pass a
+1.  *Speculate.*  Up to :data:`PASS_BLOCK_CAP` passes are simulated back
+    to back under the assumption that every deferred evaluation will
+    succeed with the current switch window.  Each pass performs exactly
+    the one-pass-at-a-time procedure's RNG draws and clock advances (the
+    simulation side is untouched); only the pure array analysis —
+    per-iteration boundary inversion, device-clock conversion, phase-3
+    detection and CI confirmation — is deferred.  Throttle checks and
+    settle failures depend on nothing deferred, so they are handled
+    eagerly at the scalar cadence.  After every pass a
     :class:`~repro.machine.MachineCheckpoint` is appended to the block's
     **ledger**.
 
@@ -31,25 +32,20 @@ This module restructures the loop around **pass blocks**:
     measurements; at the first divergence — a failed evaluation that grows
     the window, an abandon threshold, a mid-block stopping-rule hit — the
     machine is rolled back to the ledger checkpoint taken right after the
-    diverging pass, i.e. to exactly the state the scalar loop would be in,
-    and the loop re-plans from there.  A failed evaluation that changes
-    *no* simulation state (no window growth, no abandon) is not a
-    divergence at all: the speculated suffix remains valid and resolution
-    simply keeps walking.
+    diverging pass, i.e. to exactly the state a one-pass-at-a-time loop
+    would be in, and the loop re-plans from there.  A failed evaluation
+    that changes *no* simulation state (no window growth, no abandon) is
+    not a divergence at all: the speculated suffix remains valid and
+    resolution simply keeps walking.
 
 Because every RNG draw happens in scalar order and every discarded suffix
-is rolled back through the ledger, the batched loop is bit-identical to the
-scalar reference — same measurements, outlier labels, and CSV bytes — for
-every block size, which ``tests/test_core_passblock.py`` asserts across
-architectures.
-
-Scalar fallback
----------------
-``measure_pair`` (the dispatcher in :mod:`repro.core.campaign`) routes to
-the reference loop when ``config.pass_block_size`` is ``None``; tests and
-benchmarks use that to compare the two paths.  Within the batched loop
-itself, blocks degrade to size 1 near stopping-rule boundaries — identical
-semantics, just without batching gains.
+is rolled back through the ledger, the result does not depend on the
+block size: ``tests/test_core_passblock.py`` runs campaigns with caps
+{1, 5, 25} and through the one-pass-at-a-time oracle in
+``tests/oracles.py`` and asserts the same measurements, outlier labels,
+CSV bytes and virtual wall clock across architectures.  Blocks degrade to
+size 1 near stopping-rule boundaries — identical semantics, just without
+batching gains.
 """
 
 from __future__ import annotations
@@ -72,7 +68,13 @@ from repro.gpusim.thermal import ThrottleReasons
 from repro.machine import MachineCheckpoint
 from repro.stats.rse import RseStoppingRule
 
-__all__ = ["PairBlockRunner", "measure_pair_blocked", "plan_block_size"]
+__all__ = ["PASS_BLOCK_CAP", "PairBlockRunner", "plan_block_size", "run_pass_blocks"]
+
+#: upper bound on the passes speculated per block; blocks are further
+#: clipped by :func:`plan_block_size`.  Results are bit-identical for
+#: every cap, which only trades batching gains against rolled-back
+#: speculation.  25 mirrors the paper's RSE check cadence.
+PASS_BLOCK_CAP = 25
 
 
 def plan_block_size(
@@ -112,7 +114,7 @@ def _evaluate_deferred_block(raws, bench, target_stats, cfg):
     directly into one ``(n_pass, n_sm, n_iter)`` matrix (no per-pass
     DeviceTimestamps, no starts matrices — back-to-back iterations make
     them shifted views of the ends), then the whole block is evaluated in
-    one sweep.  Per-element arithmetic is identical to the scalar path's
+    one sweep.  Per-element arithmetic is identical to the single-pass
     ``as_device_view`` + ``evaluate_switch`` chain.
     """
     if not raws:
@@ -139,11 +141,11 @@ class PairBlockRunner:
     """Speculate/resolve state machine of one pair's blocked loop.
 
     The blocked measurement loop factored into explicit phases, which
-    :func:`measure_pair_blocked` drives to completion: speculate a block
-    of passes, evaluate the block in one array sweep, resolve, repeat.
+    :func:`run_pass_blocks` drives to completion: speculate a block of
+    passes, evaluate the block in one array sweep, resolve, repeat.
     Keeping the scalar decision logic in :meth:`resolve`, apart from the
-    array evaluation, is what lets the blocked loop reproduce the scalar
-    reference loop bit for bit.
+    array evaluation, is what makes the result independent of the block
+    size.
     """
 
     def __init__(
@@ -152,13 +154,8 @@ class PairBlockRunner:
         init_mhz: float,
         target_mhz: float,
         phase1,
-        probe,
-        block_cap: int,
+        window_iters: int,
     ) -> None:
-        # Imported here: campaign imports this module lazily from its own
-        # measure_pair dispatcher.
-        from repro.core.campaign import _initial_window_iters
-
         self.bench = bench
         self.cfg = bench.config
         self.machine = bench.machine
@@ -167,15 +164,12 @@ class PairBlockRunner:
         self.target_mhz = target_mhz
         self.target_stats = phase1.stats_for(target_mhz)
         self.rule = self.cfg.stopping_rule()
-        self.block_cap = block_cap
         self.pair = PairResult(
             init_mhz=float(init_mhz),
             target_mhz=float(target_mhz),
             axis=self.cfg.axis,
         )
-        self.window_iters = _initial_window_iters(
-            bench, init_mhz, target_mhz, probe, self.kernel
-        )
+        self.window_iters = window_iters
         self.growths = 0
         self.consecutive_failures = 0
         self.passes = 0
@@ -188,7 +182,7 @@ class PairBlockRunner:
     def speculate(self) -> None:
         bench, cfg, machine = self.bench, self.cfg, self.machine
         block = plan_block_size(
-            len(self.pair.measurements), self.rule, self.block_cap
+            len(self.pair.measurements), self.rule, PASS_BLOCK_CAP
         )
         events: list[_BlockEvent] = []
         spec_consecutive = self.consecutive_failures
@@ -335,41 +329,28 @@ class PairBlockRunner:
                 self.done = True
                 break
             # Plain failure: consumes no draws and no time, so the
-            # speculated suffix is exactly what the scalar loop would have
-            # run next — keep walking, no rollback.
+            # speculated suffix is exactly what the next passes would have
+            # been — keep walking, no rollback.
             continue
 
-    # ------------------------------------------------------------------
-    def finalize(self) -> PairResult:
-        """The finished pair, with the Algorithm-3 outlier labelling."""
-        from repro.core.campaign import _MIN_FOR_OUTLIER_FILTER
-        from repro.clustering.adaptive import adaptive_dbscan
 
-        pair = self.pair
-        if len(pair.measurements) >= _MIN_FOR_OUTLIER_FILTER:
-            pair.outliers = adaptive_dbscan(
-                [m.latency_s for m in pair.measurements],
-                self.cfg.outlier_config,
-            )
-        return pair
-
-
-def measure_pair_blocked(
+def run_pass_blocks(
     bench: BenchContext,
     init_mhz: float,
     target_mhz: float,
     phase1,
-    probe,
-    block_cap: int,
+    window_iters: int,
 ) -> PairResult:
-    """Pass-block batched equivalent of ``measure_pair_reference``."""
-    runner = PairBlockRunner(
-        bench, init_mhz, target_mhz, phase1, probe, block_cap
-    )
+    """One pair's measurements until the stopping rule or an abandon fires.
+
+    Starts at a switch window of ``window_iters`` iterations; the caller
+    (:func:`repro.core.campaign.measure_pair`) labels the outliers.
+    """
+    runner = PairBlockRunner(bench, init_mhz, target_mhz, phase1, window_iters)
     while not runner.done:
         runner.speculate()
         evaluations = _evaluate_deferred_block(
             runner.pending_raws, bench, runner.target_stats, runner.cfg
         )
         runner.resolve(evaluations)
-    return runner.finalize()
+    return runner.pair

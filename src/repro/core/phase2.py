@@ -45,7 +45,8 @@ class RawSwitchData:
     ground-truth fields are snapshotted at construction time — the live
     :class:`TransitionRecord` can be superseded by a *later* pass's
     request, and the methodology's record of a measurement must reflect
-    the state at evaluation time, exactly as the scalar loop observes it.
+    the state at evaluation time, exactly as an immediate evaluation
+    would observe it.
     """
 
     init_mhz: float

@@ -19,10 +19,9 @@ SM is viable, phases two and three are repeated by the campaign loop.
 
 The confirmation step runs as array-wide Welch CI math over all candidate
 SMs at once (suffix statistics from shared cumulative-sum buffers, critical
-values from the rounded-dof cache in :mod:`repro.stats.intervals`); the
-original one-SampleStats-per-SM loop is retained as
-:func:`evaluate_switch_reference` for equivalence testing, mirroring the
-vectorized/reference split of :mod:`repro.gpusim.sm`.
+values from the rounded-dof cache in :mod:`repro.stats.intervals`).  The
+equivalence tests compare it with a one-SampleStats-per-SM oracle in
+``tests/oracles.py``.
 
 The FTaLaT-style confidence-interval criterion is retained behind
 ``detection_criterion="confidence-interval"`` for the Sec. V-A ablation:
@@ -43,18 +42,13 @@ from repro.core.config import LatestConfig
 from repro.core.phase2 import RawSwitchData
 from repro.errors import ConfigError
 from repro.stats.descriptive import SampleStats
-from repro.stats.intervals import (
-    difference_ci,
-    difference_ci_batch,
-    two_sigma_band,
-)
+from repro.stats.intervals import difference_ci_batch, two_sigma_band
 
 __all__ = [
     "SmStatus",
     "SwitchEvaluation",
     "evaluate_switch",
     "evaluate_switch_block_deferred",
-    "evaluate_switch_reference",
     "detection_band",
 ]
 
@@ -441,7 +435,7 @@ def _confirm_and_finish(
             )
             tail_mean += mean
             # Variance via std*std (not the raw variance) to match the
-            # scalar reference path, which round-trips through SampleStats.
+            # scalar oracle, which round-trips through SampleStats.
             tail_var += [x * x for x in std]
             tail_n += n
         lb, hb = difference_ci_batch(
@@ -454,43 +448,3 @@ def _confirm_and_finish(
         valid[b_idx, s_idx] = ok
 
     return _finish(ends, ts_list, status, has_post, detected, short, first, valid)
-
-
-def evaluate_switch_reference(
-    raw: RawSwitchData,
-    target_stats: SampleStats,
-    cfg: LatestConfig,
-) -> SwitchEvaluation:
-    """Scalar reference: one SampleStats + Welch CI per candidate SM.
-
-    This is the original formulation of the confirmation step.  It is kept
-    (like :func:`repro.gpusim.sm.integrate_iterations_reference`) so the
-    equivalence tests can assert that the vectorized path produces
-    identical statuses, latencies and reasons.
-    """
-    diffs, ends, ts, has_post, detected, first = _detect(raw, target_stats, cfg)
-    n_sm, n_iter = diffs.shape
-    status, short, _ = _classify(has_post, detected, first, n_iter, cfg)
-
-    tail_mean, tail_std, n_tail = _suffix_stats(
-        diffs, (first + 1).tolist(), list(range(n_sm))
-    )
-    confirm_rows = np.flatnonzero(detected & ~short)
-    valid = np.zeros(n_sm, dtype=bool)
-    tol = cfg.tolerance_rel * target_stats.mean
-    for i in confirm_rows:
-        tail = SampleStats(
-            n=n_tail[i],
-            mean=tail_mean[i],
-            std=tail_std[i],
-            minimum=0.0,
-            maximum=0.0,
-        )
-        lb, hb = difference_ci(tail, target_stats, cfg.confidence)
-        if (lb < 0.0 < hb) or abs(tail.mean - target_stats.mean) < tol:
-            valid[i] = True
-
-    return _finish(
-        ends[None], [ts], status[None], has_post[None], detected[None],
-        short[None], first[None], valid[None],
-    )[0]

@@ -792,8 +792,7 @@ def run_campaign(
     Pairs are measured on per-pair replica machines with deterministic
     seed streams, so the result is identical for every worker count
     (1, 4, ...); ``workers=1`` runs in-process.  The per-pair inner loop
-    runs in pass blocks of ``config.pass_block_size`` passes (``None``
-    selects the scalar reference loop, bit-identical by contract).  With
+    runs in speculated pass blocks (:mod:`repro.core.passblock`).  With
     ``config.memory_frequencies`` set, the campaign sweeps the full
     core×memory grid: the SM pair grid is re-characterized and measured
     once per locked memory clock.

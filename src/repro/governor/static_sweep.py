@@ -33,38 +33,12 @@ class StaticPoint:
     runtime_penalty: float   # vs. the max-clock run
     energy_savings: float    # vs. the max-clock run
 
-    @property
-    def edp(self) -> float:
-        """Energy-delay product."""
-        return self.energy_j * self.time_s
-
 
 @dataclass
 class StaticSweepResult:
     """All sweep points plus the optima."""
 
     points: list[StaticPoint]
-
-    def best_energy(self, max_penalty: float | None = None) -> StaticPoint:
-        """Lowest-energy point, optionally capped on runtime extension.
-
-        ``max_penalty`` implements the paper's "no runtime extension"
-        constraint regime: e.g. 0.05 allows a 5 % slowdown.
-        """
-        candidates = self.points
-        if max_penalty is not None:
-            candidates = [
-                p for p in self.points if p.runtime_penalty <= max_penalty
-            ]
-            if not candidates:
-                raise ConfigError(
-                    f"no static point meets the {max_penalty:.0%} "
-                    "runtime-penalty cap"
-                )
-        return min(candidates, key=lambda p: p.energy_j)
-
-    def best_edp(self) -> StaticPoint:
-        return min(self.points, key=lambda p: p.edp)
 
     def point_at_ratio(self, ratio: float) -> StaticPoint:
         return min(self.points, key=lambda p: abs(p.freq_ratio - ratio))

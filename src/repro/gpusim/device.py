@@ -37,7 +37,6 @@ from repro.gpusim.dvfs import (
     PowerDomainSpec,
     TransitionRecord,
 )
-from repro.gpusim.energy import EnergyMeter
 from repro.gpusim.latency_model import SwitchingLatencyModel
 from repro.gpusim.sm import (
     DeviceTimestamps,
@@ -212,13 +211,6 @@ class GpuDevice:
         self._power_cap_mhz: float | None = None
         self._cap_applied_mhz: float | None = None
 
-        self.energy = EnergyMeter(
-            thermal=self.thermal,
-            dvfs=self.dvfs,
-            start_time=clock.now,
-            mem_dvfs=self.mem_dvfs,
-        )
-
         self._pending: list[KernelHandle] = []
         self._seq = 0
         self._busy_until = clock.now
@@ -300,7 +292,6 @@ class GpuDevice:
             completion = pending.completion_true + _KERNEL_EPILOGUE_S
         handle.t_complete = completion
         self.dvfs.notify_kernel_end(completion)
-        self.energy.record_busy(t_start, completion)
         self._busy_until = completion
         self._advance_thermal(completion, load=1.0)
 
@@ -526,21 +517,6 @@ class GpuDevice:
             self.dvfs.effective_freq_at(t), load, mem_freq
         )
 
-    def total_energy_j(self) -> float:
-        """Board energy since device creation (NVML total-energy counter).
-
-        With kernels still pending, integration stops at the last
-        finalized work (their busy windows are not committed yet);
-        otherwise it runs to the present, charging idle power for
-        unloaded spans.
-        """
-        horizon = (
-            min(self.clock.now, self._busy_until)
-            if self._pending
-            else self.clock.now
-        )
-        return self.energy.total_energy_j(horizon)
-
     def last_transition(self) -> TransitionRecord | None:
         return self.dvfs.last_transition()
 
@@ -575,7 +551,6 @@ class GpuDevice:
             self._thermal_cap_mhz,
             self._power_cap_mhz,
             self._cap_applied_mhz,
-            self.energy.snapshot_state(),
         )
 
     def restore_state(self, state: tuple) -> None:
@@ -595,7 +570,6 @@ class GpuDevice:
             thermal_cap,
             power_cap,
             cap_applied,
-            energy_state,
         ) = state
         self.rng.bit_generator.state = rng_state
         self.gpu_clock._last_read = gpu_last_read
@@ -610,7 +584,6 @@ class GpuDevice:
         self._thermal_cap_mhz = thermal_cap
         self._power_cap_mhz = power_cap
         self._cap_applied_mhz = cap_applied
-        self.energy.restore_state(energy_state)
         self._pending.clear()
 
     # ------------------------------------------------------------------

@@ -19,8 +19,9 @@ against the segment boundaries, and each run of iterations inside one
 segment maps through one multiply-add.  The per-kernel prelude — segment
 compilation, every SM's start integral, the last-boundary inversion —
 handles 1-8 segments and a few SMs, so it runs on Python floats, applying
-the float64 operations of the array form it replaced.  A scalar reference
-implementation is provided for property-based equivalence testing.
+the float64 operations of the array form it replaced.  A scalar
+one-iteration-at-a-time oracle (``tests/oracles.py``) checks the
+integration in the property-based equivalence tests.
 
 Integration is split in two stages so the hot campaign path can defer the
 expensive part.  :func:`prepare_integration` consumes the RNG-dependent
@@ -53,7 +54,6 @@ __all__ = [
     "PendingIntegration",
     "completion_from_boundaries",
     "integrate_iterations",
-    "integrate_iterations_reference",
     "memory_stall_factor",
     "merge_memory_segments",
     "prepare_integration",
@@ -543,40 +543,3 @@ def integrate_iterations(
     :meth:`PendingIntegration.materialize` (see module docs).
     """
     return prepare_integration(trajectory, sm_start_times, cycles).materialize()
-
-
-def integrate_iterations_reference(
-    trajectory: FrequencyTrajectory,
-    sm_start_times: np.ndarray,
-    cycles: np.ndarray,
-) -> KernelTimestamps:
-    """Scalar reference implementation (one iteration at a time).
-
-    Advances each iteration through trajectory segments by explicit cycle
-    accounting.  Used by the property-based tests to validate
-    :func:`integrate_iterations`; O(n_sm × n_iter × n_seg), so keep inputs
-    small.
-    """
-    sm_start_times = np.asarray(sm_start_times, dtype=np.float64)
-    cycles = np.asarray(cycles, dtype=np.float64)
-    n_sm, n_iter = cycles.shape
-    segs = list(trajectory.iter_from(float(sm_start_times.min())))
-    starts = np.empty((n_sm, n_iter))
-    ends = np.empty((n_sm, n_iter))
-    for i in range(n_sm):
-        t = float(sm_start_times[i])
-        for k in range(n_iter):
-            starts[i, k] = t
-            remaining = float(cycles[i, k])
-            while remaining > 0.0:
-                seg = next(s for s in segs if s.t_end > t)
-                f = seg.freq_hz
-                capacity = (seg.t_end - t) * f
-                if remaining <= capacity:
-                    t += remaining / f
-                    remaining = 0.0
-                else:
-                    remaining -= capacity
-                    t = seg.t_end
-            ends[i, k] = t
-    return KernelTimestamps(starts_true=starts, ends_true=ends)

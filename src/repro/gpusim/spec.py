@@ -198,18 +198,6 @@ class GpuSpec:
             )
         return nearest
 
-    def frequency_subset(self, count: int) -> tuple[float, ...]:
-        """An evenly spaced subset of the ladder, ascending.
-
-        The paper evaluates "a specific subset of the full set of frequency
-        pairs" per GPU; this helper picks ``count`` representative clocks.
-        """
-        if count < 2:
-            raise ConfigError("subset needs at least two frequencies")
-        clocks = np.asarray(self.supported_clocks_mhz)[::-1]  # ascending
-        idx = np.linspace(0, len(clocks) - 1, count).round().astype(int)
-        return tuple(float(c) for c in clocks[np.unique(idx)])
-
     # ------------------------------------------------------------------
     # memory-clock domain
     # ------------------------------------------------------------------

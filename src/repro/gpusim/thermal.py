@@ -102,7 +102,7 @@ class ThermalModel:
         linear clock sensitivity: downclocked memory returns power to the
         budget, overclocked memory spends it.  At the reference clock the
         term is skipped outright, so single-memory-clock campaigns see
-        bit-identical power and energy numbers.
+        bit-identical power numbers.
         """
         f_rel = freq_mhz / self.spec.max_sm_frequency_mhz
         dynamic = (self.spec.tdp_watts - self.spec.idle_power_watts) * (

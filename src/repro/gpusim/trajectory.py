@@ -13,8 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from repro.errors import SimulationError
 
 __all__ = ["Segment", "FrequencyTrajectory"]
@@ -117,15 +115,6 @@ class FrequencyTrajectory:
         i = bisect_right(self._starts, t) - 1
         return self.segments[i].freq_mhz
 
-    def freq_at_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`freq_at`."""
-        t = np.asarray(t, dtype=np.float64)
-        if t.size and t.min() < self.t_start:
-            raise SimulationError("times precede trajectory start")
-        idx = np.searchsorted(self._starts, t, side="right") - 1
-        freqs = np.asarray([s.freq_mhz for s in self.segments])
-        return freqs[idx]
-
     def iter_from(self, t: float) -> Iterator[Segment]:
         """Segments overlapping ``[t, inf)``, first one clipped to start at ``t``."""
         i = bisect_right(self._starts, t) - 1
@@ -134,14 +123,6 @@ class FrequencyTrajectory:
         first = self.segments[i]
         yield Segment(max(first.t_start, t), first.t_end, first.freq_mhz)
         yield from self.segments[i + 1 :]
-
-    def switch_times(self) -> list[tuple[float, float]]:
-        """``(time, new_freq)`` for every internal frequency change."""
-        return [
-            (s.t_start, s.freq_mhz)
-            for prev, s in zip(self.segments, self.segments[1:])
-            if prev.freq_mhz != s.freq_mhz
-        ]
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -46,9 +46,9 @@ class MachineCheckpoint:
     (:mod:`repro.core.passblock`): taken at a pass boundary, it captures
     every piece of mutable state a speculative measurement pass can touch —
     the true clock, each generator's bit-generator state, hardware-timer
-    monotonic guards, the DVFS event timeline, thermal/energy bookkeeping.
-    Restoring rewinds the machine to exactly the state the scalar reference
-    loop would be in, which is what makes speculative pass blocks safe to
+    monotonic guards, the DVFS event timeline, thermal bookkeeping.
+    Restoring rewinds the machine to exactly the state an unspeculated run
+    would be in, which is what makes speculative pass blocks safe to
     discard.  Checkpoints are cheap (list copies of event timelines plus a
     handful of scalars) and single-use by convention, though restoring one
     twice is supported.

@@ -240,10 +240,3 @@ class NvmlDeviceHandle:
         self.session._check()
         self.session._spend()
         return self.device.power_usage_w()
-
-    def total_energy_consumption_j(self) -> float:
-        """Board energy since driver load
-        (``nvmlDeviceGetTotalEnergyConsumption``)."""
-        self.session._check()
-        self.session._spend()
-        return self.device.total_energy_j()

@@ -104,19 +104,6 @@ class OnlineStats:
         self._min = min(self._min, x)
         self._max = max(self._max, x)
 
-    def push_many(self, values) -> None:
-        """Vectorized bulk update (one merge of a batch summary)."""
-        x = np.asarray(values, dtype=np.float64).ravel()
-        if x.size == 0:
-            return
-        other = OnlineStats()
-        other.n = int(x.size)
-        other._mean = float(x.mean())
-        other._m2 = float(((x - other._mean) ** 2).sum())
-        other._min = float(x.min())
-        other._max = float(x.max())
-        self.merge(other)
-
     def merge(self, other: "OnlineStats") -> "OnlineStats":
         """In-place parallel merge; returns self."""
         if other.n == 0:

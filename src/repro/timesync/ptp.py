@@ -27,9 +27,10 @@ magnitudes ``(rounds, 2)``, turnaround uniforms ``(rounds,)`` — rather than
 round by round.  Spike magnitudes are always drawn and applied only where
 the spike uniform fires, so the number of draws is a pure function of
 ``rounds``.  This is the canonical entry in the campaign's RNG draw-order
-ledger (see DESIGN.md): every measurement path, scalar or pass-block
-batched, performs exactly this sequence, which is what keeps the batched
-campaign bit-identical to the scalar reference.
+ledger (see DESIGN.md): every measurement pass, speculated in a pass
+block or not, performs exactly this sequence, which is what keeps the
+pass-block loop bit-identical to the one-pass-at-a-time oracle in
+``tests/oracles.py``.
 
 The draws stay batched; the arithmetic after them is scalar.  The
 transport delays, the true-time grid (a left-to-right running sum, as
@@ -123,9 +124,6 @@ class SyncResult:
     def cpu_to_acc(self, t_cpu: float) -> float:
         """Convert a CPU timestamp into the accelerator timebase."""
         return t_cpu - self.cpu_sync + self.acc_sync
-
-    def acc_to_cpu(self, t_acc: float) -> float:
-        return t_acc - self.acc_sync + self.cpu_sync
 
 
 def synchronize_timers(

@@ -1,5 +1,4 @@
-"""Tests for the analysis extensions: advisor, validation, report,
-and the device energy meter."""
+"""Tests for the analysis extensions: advisor, validation and report."""
 
 import pytest
 
@@ -7,7 +6,6 @@ from repro.analysis.advisor import RuntimeAdvisor
 from repro.analysis.report import campaign_report, write_campaign_report
 from repro.analysis.validation import score_recovery
 from repro.errors import MeasurementError
-from repro.machine import make_machine
 
 
 class TestRuntimeAdvisor:
@@ -119,67 +117,3 @@ class TestCampaignReport:
         )
         assert path.exists()
         assert path.read_text().startswith("# Switching-latency")
-
-
-class TestEnergyMeter:
-    def test_idle_energy_is_idle_power(self):
-        machine = make_machine("A100", seed=5)
-        device = machine.device()
-        machine.host.sleep(10.0)
-        energy = device.total_energy_j()
-        expected = device.spec.idle_power_watts * 10.0
-        assert energy == pytest.approx(expected, rel=0.05)
-
-    def test_busy_energy_exceeds_idle(self):
-        from repro.cuda.kernel import MicrobenchmarkKernel
-
-        machine = make_machine("A100", seed=6)
-        device = machine.device()
-        ctx = machine.cuda_context()
-        nvml_handle = machine.nvml().device_get_handle_by_index(0)
-        nvml_handle.set_gpu_locked_clocks(1410.0, 1410.0)
-        kernel = MicrobenchmarkKernel.sized_for(
-            device.spec, total_duration_s=1.0, sm_count=1
-        )
-        ctx.run(kernel)
-        elapsed = machine.clock.now
-        energy = nvml_handle.total_energy_consumption_j()
-        avg_power = energy / elapsed
-        assert avg_power > device.spec.idle_power_watts * 1.5
-
-    def test_energy_monotonic(self):
-        machine = make_machine("A100", seed=7)
-        device = machine.device()
-        readings = []
-        for _ in range(5):
-            machine.host.sleep(0.5)
-            readings.append(device.total_energy_j())
-        assert all(b > a for a, b in zip(readings, readings[1:]))
-
-    def test_lower_clock_cheaper(self):
-        from repro.cuda.kernel import MicrobenchmarkKernel
-
-        energies = {}
-        for freq in (705.0, 1410.0):
-            machine = make_machine("A100", seed=8)
-            device = machine.device()
-            ctx = machine.cuda_context()
-            handle = machine.nvml().device_get_handle_by_index(0)
-            handle.set_gpu_locked_clocks(freq, freq)
-            kernel = MicrobenchmarkKernel.sized_for(
-                device.spec, total_duration_s=2.0, sm_count=1
-            )
-            ctx.run(kernel)
-            # Energy per unit busy time (the kernel runs longer at the
-            # lower clock, so compare average power).
-            energies[freq] = device.total_energy_j() / machine.clock.now
-        assert energies[705.0] < energies[1410.0]
-
-    def test_meter_rejects_backwards_time(self):
-        from repro.errors import SimulationError
-
-        machine = make_machine("A100", seed=9)
-        device = machine.device()
-        device.energy.integrate_to(5.0)
-        with pytest.raises(SimulationError):
-            device.energy.integrate_to(1.0)

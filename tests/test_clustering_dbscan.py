@@ -82,15 +82,10 @@ class TestBasics:
         res = dbscan(np.vstack([a, b]), eps=1.0, min_pts=4)
         assert res.n_clusters == 2
 
-    def test_cluster_sizes_and_largest(self):
+    def test_cluster_sizes(self):
         x = np.concatenate([np.full(20, 1.0), np.full(5, 100.0)])
         res = dbscan(x, eps=1.0, min_pts=3)
         assert sorted(res.cluster_sizes(), reverse=True)[0] == 20
-        assert res.cluster_sizes()[res.largest_cluster()] == 20
-
-    def test_largest_cluster_all_noise(self):
-        res = dbscan(np.arange(5.0) * 100, eps=0.1, min_pts=3)
-        assert res.largest_cluster() == NOISE
 
 
 class TestOrderInvariants:

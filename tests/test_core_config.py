@@ -87,34 +87,9 @@ class TestHelpers:
         assert rule.max_measurements == 50
         assert rule.check_every == 5
 
-    def test_with_frequencies(self):
-        cfg = config().with_frequencies((840.0, 975.0))
-        assert cfg.frequencies == (840.0, 975.0)
-
     def test_memory_plan_legacy_sentinel(self):
         assert config().memory_plan() == (None,)
         assert config(
             memory_frequencies=(1215.0, 810.0)
         ).memory_plan() == (1215.0, 810.0)
 
-    def test_grid_points_memory_major(self):
-        cfg = config(memory_frequencies=(1215.0, 810.0))
-        points = cfg.grid_points()
-        assert len(points) == 2 * len(cfg.pairs())
-        # memory-major: the first facet's pairs come first, in pair order
-        assert points[: len(cfg.pairs())] == [
-            (a, b, 1215.0) for a, b in cfg.pairs()
-        ]
-        assert points[len(cfg.pairs()):] == [
-            (a, b, 810.0) for a, b in cfg.pairs()
-        ]
-
-    def test_grid_points_legacy(self):
-        assert config().grid_points() == [
-            (a, b, None) for a, b in config().pairs()
-        ]
-
-    def test_with_memory_frequencies(self):
-        cfg = config().with_memory_frequencies((1215.0, 810.0))
-        assert cfg.memory_frequencies == (1215.0, 810.0)
-        assert cfg.with_memory_frequencies(None).memory_frequencies is None

@@ -1,10 +1,13 @@
 """Bit-identity contract of the batched pass-block pipeline.
 
-The batched per-pair loop (:mod:`repro.core.passblock`) must reproduce the
-scalar reference loop exactly — same measurements, same outlier labels,
-same CSV bytes, same virtual wall clock — for every block size, including
-blocks that end ragged against the stopping rule, window growths that
-roll speculation back mid-block, and thermally throttled campaigns.
+The pass-block loop (:mod:`repro.core.passblock`) must reproduce the
+one-pass-at-a-time oracle (``tests/oracles.py``) exactly — same
+measurements, same outlier labels, same CSV bytes, same virtual wall
+clock — for every block cap, including blocks that end ragged against the
+stopping rule, window growths that roll speculation back mid-block, and
+thermally throttled campaigns.  Campaigns run in process (``workers=1``);
+the oracle replaces ``repro.exec.worker.measure_pair`` and the cap is set
+by monkeypatching ``PASS_BLOCK_CAP``.
 """
 
 from dataclasses import replace
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import make_machine, run_campaign
+from repro.core import passblock
 from repro.core.campaign import measure_pair, probe_windows
 from repro.core.context import BenchContext
 from repro.core.passblock import plan_block_size
@@ -21,6 +25,7 @@ from repro.core.phase1 import run_phase1
 from repro.core.phase2 import run_switch_benchmark
 from repro.stats.rse import RseStoppingRule
 from tests.conftest import fast_config
+from tests.oracles import measure_pair_reference
 from tests.test_exec_engine import _campaign_fingerprint
 
 
@@ -30,8 +35,32 @@ def _csv_bytes(directory: Path) -> dict[str, bytes]:
 
 def _run(machine_factory, cfg, outdir):
     machine = machine_factory()
-    result = run_campaign(machine, replace(cfg, output_dir=str(outdir)))
+    result = run_campaign(
+        machine, replace(cfg, output_dir=str(outdir)), workers=1
+    )
     return result, _csv_bytes(outdir)
+
+
+def _run_blocked(monkeypatch, cap, machine_factory, cfg, outdir):
+    """A campaign through ``measure_pair`` with pass blocks of ``cap``."""
+    with monkeypatch.context() as m:
+        m.setattr(passblock, "PASS_BLOCK_CAP", cap)
+        return _run(machine_factory, cfg, outdir)
+
+
+def _run_oracle(monkeypatch, machine_factory, cfg, outdir):
+    """A campaign whose pairs all run through the oracle loop."""
+    calls = []
+
+    def oracle(*args):
+        calls.append(args[1:3])
+        return measure_pair_reference(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr("repro.exec.worker.measure_pair", oracle)
+        out = _run(machine_factory, cfg, outdir)
+    assert calls, "the campaign never reached the oracle"
+    return out
 
 
 _ARCHES = [
@@ -44,8 +73,8 @@ _ARCHES = [
 class TestBatchedScalarEquivalence:
     @pytest.mark.parametrize("model, freqs, seed", _ARCHES)
     @pytest.mark.parametrize("block", [1, 5, 25])
-    def test_grid(self, model, freqs, seed, block, tmp_path):
-        """Seeded grid: >= 3 arch profiles x block sizes {1, 5, 25}.
+    def test_grid(self, model, freqs, seed, block, tmp_path, monkeypatch):
+        """Seeded grid: >= 3 arch profiles x block caps {1, 5, 25}.
 
         min/max/check_every are chosen so blocks end ragged (the stop
         count 10 is not a multiple of 25, and the final block before
@@ -56,18 +85,17 @@ class TestBatchedScalarEquivalence:
             min_measurements=6,
             max_measurements=10,
             rse_check_every=4,
-            pass_block_size=None,
         )
         factory = lambda: make_machine(model, seed=seed)  # noqa: E731
-        ref, ref_csv = _run(factory, cfg, tmp_path / "ref")
-        blk, blk_csv = _run(
-            factory, replace(cfg, pass_block_size=block), tmp_path / "blk"
+        ref, ref_csv = _run_oracle(monkeypatch, factory, cfg, tmp_path / "ref")
+        blk, blk_csv = _run_blocked(
+            monkeypatch, block, factory, cfg, tmp_path / "blk"
         )
         assert _campaign_fingerprint(blk) == _campaign_fingerprint(ref)
         assert blk_csv == ref_csv
         assert blk.wall_virtual_s == ref.wall_virtual_s
 
-    def test_window_growth_rollback(self, tmp_path):
+    def test_window_growth_rollback(self, tmp_path, monkeypatch):
         """A tiny initial window forces growth — the mid-block divergence
         path that rolls speculation back through the ledger."""
         cfg = fast_config(
@@ -76,34 +104,43 @@ class TestBatchedScalarEquivalence:
             max_measurements=6,
             switch_window_factor=0.25,
             window_policy="probe-max",
-            pass_block_size=None,
         )
         factory = lambda: make_machine("A100", seed=31)  # noqa: E731
-        ref, ref_csv = _run(factory, cfg, tmp_path / "ref")
-        blk, blk_csv = _run(
-            factory, replace(cfg, pass_block_size=25), tmp_path / "blk"
+        ref, ref_csv = _run_oracle(monkeypatch, factory, cfg, tmp_path / "ref")
+        blk, blk_csv = _run_blocked(
+            monkeypatch, 25, factory, cfg, tmp_path / "blk"
         )
         growthy = [p.n_window_growths for p in ref.pairs.values()]
         assert any(g > 0 for g in growthy), "config failed to force growth"
         assert _campaign_fingerprint(blk) == _campaign_fingerprint(ref)
         assert blk_csv == ref_csv
 
-    def test_thermal_campaign_equivalence(self, tmp_path):
+    @pytest.mark.parametrize(
+        "ambient_c, branches",
+        [
+            # one pair completes, the other is power-throttled mid-loop
+            (45.0, {"", "power-throttled"}),
+            # thermal discards, then both abandon paths
+            (85.0, {"no-viable-measurements", "initial-frequency-never-settled"}),
+        ],
+    )
+    def test_thermal_campaign_equivalence(
+        self, ambient_c, branches, tmp_path, monkeypatch
+    ):
         """Thermal machines exercise the throttle branches eagerly."""
         cfg = fast_config(
             (705.0, 1410.0),
             min_measurements=4,
             max_measurements=8,
-            pass_block_size=None,
         )
         factory = lambda: make_machine(  # noqa: E731
-            "A100", seed=17, thermal_enabled=True, ambient_c=45.0,
-            power_limit_w=320.0,
+            "A100", seed=17, thermal_enabled=True, ambient_c=ambient_c
         )
-        ref, ref_csv = _run(factory, cfg, tmp_path / "ref")
-        blk, blk_csv = _run(
-            factory, replace(cfg, pass_block_size=5), tmp_path / "blk"
+        ref, ref_csv = _run_oracle(monkeypatch, factory, cfg, tmp_path / "ref")
+        blk, blk_csv = _run_blocked(
+            monkeypatch, 5, factory, cfg, tmp_path / "blk"
         )
+        assert {p.skip_reason for p in ref.pairs.values()} == branches
         assert _campaign_fingerprint(blk) == _campaign_fingerprint(ref)
         assert blk_csv == ref_csv
 
@@ -115,13 +152,13 @@ class TestBatchedScalarEquivalence:
             (705.0, 1095.0, 1410.0), min_measurements=4, max_measurements=6
         )
         states = []
-        for block in (None, 25):
+        for measure in (measure_pair_reference, measure_pair):
             machine = make_machine("A100", seed=5)
-            bench = BenchContext(machine, replace(cfg, pass_block_size=block))
+            bench = BenchContext(machine, cfg)
             phase1 = run_phase1(bench)
             probe = probe_windows(bench, phase1)
             for init, target in phase1.valid_pairs:
-                measure_pair(bench, init, target, phase1, probe)
+                measure(bench, init, target, phase1, probe)
             states.append(
                 (
                     machine.clock.now,

@@ -13,14 +13,11 @@ import pytest
 from repro.core.context import BenchContext
 from repro.core.phase1 import run_phase1
 from repro.core.phase2 import run_switch_benchmark
-from repro.core.phase3 import (
-    SmStatus,
-    evaluate_switch,
-    evaluate_switch_reference,
-)
+from repro.core.phase3 import SmStatus, evaluate_switch
 from repro.errors import MeasurementError
 from repro.machine import make_machine
 from tests.conftest import fast_config
+from tests.oracles import evaluate_switch_reference
 
 
 @pytest.fixture(scope="module")

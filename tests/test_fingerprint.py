@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro import make_machine, run_campaign
 from repro.core.calibcache import calibration_fingerprint
+from repro.core.config import LatestConfig
 from repro.core.journal import campaign_fingerprint
 from repro.errors import CampaignInterrupted
 from repro.gpusim.spec import GPU_MODELS, GpuSpec
@@ -66,6 +67,24 @@ def _keys(model, seed, axis):
             config, blueprint, 0, None, blueprint.start_time
         ),
     )
+
+
+def test_content_keys_are_pinned():
+    """Literal keys of one fixed A100 campaign.
+
+    Journals resume and calibration-cache entries hit only while these
+    digests hold; a config-field edit that moves either one orphans every
+    journal and cache written before it.  Change the literals only
+    together with ``JOURNAL_VERSION`` / ``CALIB_CACHE_VERSION``.
+    """
+    config = LatestConfig(frequencies=(705.0, 1095.0, 1410.0))
+    blueprint = make_machine("A100", seed=3).blueprint
+    assert campaign_fingerprint(config, blueprint) == (
+        "6bbf932fe162536c061c5ae4d7e39dc0a59e05b751083b57c0b099b63b72b5f0"
+    )
+    assert calibration_fingerprint(
+        config, blueprint, 0, None, blueprint.start_time
+    ) == "74747aa66009a7271cd0c880d21c107e332827c7cee8594b9dd91a0c003e8c91"
 
 
 @given(

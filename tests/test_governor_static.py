@@ -31,27 +31,6 @@ class TestStaticSweep:
         assert p.energy_savings > 0.05
         assert p.runtime_penalty < 0.40
 
-    def test_best_energy_below_max_clock(self, sweep):
-        best = sweep.best_energy()
-        assert best.freq_ratio < 1.0
-
-    def test_penalty_cap_respected(self, sweep):
-        capped = sweep.best_energy(max_penalty=0.10)
-        assert capped.runtime_penalty <= 0.10
-        uncapped = sweep.best_energy()
-        assert uncapped.energy_j <= capped.energy_j
-
-    def test_impossible_cap_rejected(self, sweep):
-        with pytest.raises(ConfigError):
-            sweep.best_energy(max_penalty=-0.5)
-
-    def test_edp_optimum_is_intermediate(self, sweep):
-        """EDP optimum sits strictly between the extremes for a mixed
-        compute/memory workload."""
-        best = sweep.best_edp()
-        ratios = sorted(p.freq_ratio for p in sweep.points)
-        assert ratios[0] <= best.freq_ratio <= ratios[-1]
-
     def test_empty_ratio_list_rejected(self):
         app = make_phased_application(A100_SXM4, n_phases=5, seed=1)
         with pytest.raises(ConfigError):

@@ -7,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.gpusim.sm import (
-    integrate_iterations,
-    integrate_iterations_reference,
-    sample_iteration_cycles,
-)
+from repro.gpusim.sm import integrate_iterations, sample_iteration_cycles
 from repro.gpusim.trajectory import FrequencyTrajectory
 from repro.simtime.clock import HardwareClock, VirtualClock
+from tests.oracles import integrate_iterations_reference
 
 
 def constant_trajectory(freq_mhz: float = 1000.0) -> FrequencyTrajectory:

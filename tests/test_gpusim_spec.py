@@ -83,15 +83,6 @@ class TestClockLadder:
         with pytest.raises(ConfigError):
             A100_SXM4.validate_clock(1100.0)
 
-    def test_frequency_subset_endpoints(self):
-        sub = A100_SXM4.frequency_subset(5)
-        assert sub[0] == 210.0
-        assert sub[-1] == 1410.0
-        assert len(sub) == 5
-
-    def test_frequency_subset_needs_two(self):
-        with pytest.raises(ConfigError):
-            A100_SXM4.frequency_subset(1)
 
 
 class TestLookup:

@@ -1,6 +1,5 @@
 """Tests for frequency trajectories."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,13 +61,6 @@ class TestQueries:
         with pytest.raises(SimulationError):
             simple_trajectory().freq_at(-0.1)
 
-    def test_freq_at_array_matches_scalar(self):
-        traj = simple_trajectory()
-        times = np.linspace(0.0, 3.0, 40)
-        vec = traj.freq_at_array(times)
-        scalars = np.array([traj.freq_at(t) for t in times])
-        np.testing.assert_array_equal(vec, scalars)
-
     def test_iter_from_clips_first_segment(self):
         traj = simple_trajectory()
         segs = list(traj.iter_from(0.5))
@@ -82,10 +74,6 @@ class TestQueries:
         assert segs[0].t_start == 1.5
         assert segs[0].freq_mhz == 1500.0
         assert len(segs) == 2
-
-    def test_switch_times(self):
-        traj = simple_trajectory()
-        assert traj.switch_times() == [(1.0, 1500.0), (2.0, 500.0)]
 
     def test_segment_duration_and_hz(self):
         seg = Segment(0.0, 2.0, 1000.0)

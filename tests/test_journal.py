@@ -53,8 +53,8 @@ class TestFingerprint:
         )
 
     def test_execution_only_knobs_excluded(self):
-        # A resume may legitimately vary supervision/batching/output
-        # settings: they provably cannot change measurements.
+        # A resume may legitimately vary supervision/output settings:
+        # they provably cannot change measurements.
         bp = make_machine("A100", seed=5).blueprint
         base = campaign_fingerprint(_cfg(), bp)
         varied = _cfg(
@@ -63,7 +63,6 @@ class TestFingerprint:
             job_timeout_factor=3.0,
             retry_backoff_s=0.0,
             inject_faults="kill@0",
-            pass_block_size=7,
         )
         assert campaign_fingerprint(varied, bp) == base
 

@@ -130,7 +130,7 @@ class TestResumeValidation:
         )
         resumed = run_campaign(
             _machine(),
-            _axis_config("sm_core", max_job_retries=9, pass_block_size=7),
+            _axis_config("sm_core", max_job_retries=9),
             workers=2,
             journal=journal_dir,
             resume=True,

@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro import make_machine, run_campaign
+from repro.core.config import LatestConfig
 from repro.core.stream import FacetPrepared, PairMeasured, PairRetried
 from repro.errors import ConfigError, ServiceUnavailable
 from repro.service.client import SocketClient
@@ -488,6 +489,14 @@ class TestRequestValidation:
     def test_unknown_config_field_rejected_at_submit_time(self):
         with pytest.raises(ConfigError, match="unknown config"):
             CampaignRequest(config={"not_a_field": 1})
+
+    def test_wire_cannot_select_a_block_size(self):
+        # The pass-block loop is the only per-pair loop: neither a tenant
+        # nor a library caller can pick another one or resize its blocks.
+        with pytest.raises(ConfigError, match="pass_block_size"):
+            CampaignRequest(config={"pass_block_size": None})
+        with pytest.raises(TypeError, match="pass_block_size"):
+            LatestConfig(pass_block_size=5)
 
     def test_unserializable_config_fields_banned(self):
         with pytest.raises(ConfigError, match="ptp_link"):

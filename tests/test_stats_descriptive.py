@@ -111,16 +111,6 @@ class TestOnlineStats:
         assert left.mean == pytest.approx(batch.mean, rel=1e-9, abs=1e-9)
         assert left.std == pytest.approx(batch.std, rel=1e-6, abs=1e-6)
 
-    @given(st.lists(finite_floats, min_size=2, max_size=120))
-    @settings(max_examples=50, deadline=None)
-    def test_push_many_equals_push_loop(self, values):
-        bulk, loop = OnlineStats(), OnlineStats()
-        bulk.push_many(values)
-        for v in values:
-            loop.push(v)
-        assert bulk.mean == pytest.approx(loop.mean, rel=1e-9, abs=1e-9)
-        assert bulk.variance == pytest.approx(loop.variance, rel=1e-6, abs=1e-9)
-
     def test_merge_empty_is_noop(self):
         acc = OnlineStats()
         acc.push(1.0)
