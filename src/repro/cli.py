@@ -162,13 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
         "are quarantined as recorded skips (default 2)",
     )
     fault.add_argument(
-        "--job-timeout-factor",
+        "--job-timeout",
         type=float,
         default=None,
-        metavar="F",
-        help="per-unit wall-clock deadline = floor + F x expected virtual "
-        "cost (probe cost model); a unit that blows it is treated as hung "
-        "and retried on a rebuilt pool (default: no deadlines)",
+        metavar="SECONDS",
+        help="wall-clock deadline of one pair job on a pool worker "
+        "(--workers > 1); a job that blows it is treated as hung and "
+        "retried on a rebuilt pool (default: no deadlines)",
     )
     fault.add_argument(
         "--inject-faults",
@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
             record_sm_count=args.sm_count,
             output_dir=args.output_dir,
             max_job_retries=args.max_job_retries,
-            job_timeout_factor=args.job_timeout_factor,
+            job_timeout_s=args.job_timeout,
             inject_faults=args.inject_faults,
             calibration_cache=args.calibration_cache,
         )

@@ -6,10 +6,9 @@ and for campaign-as-a-service workloads (ROADMAP item 1) repeat requests
 against the same board/config are the *common* case.  This module caches
 the complete calibration product of one facet — the
 :class:`~repro.core.phase1.Phase1Result`, the
-:class:`~repro.core.campaign.ProbeInfo` window estimate, the fixed
-per-pass duration the dispatch cost model needs, and the virtual seconds
-the calibration consumed — so a warm campaign skips straight to phase
-2/3 while staying bit-identical to a cold run.
+:class:`~repro.core.campaign.ProbeInfo` window estimate and the virtual
+seconds the calibration consumed — so a warm campaign skips straight to
+phase 2/3 while staying bit-identical to a cold run.
 
 Key derivation
 --------------
@@ -102,12 +101,9 @@ class FacetCalibration:
     (facet-clock preparation + phase 1 + probe); a warm run advances the
     driver clock by it instead of re-measuring, so the campaign epoch —
     and therefore every pair result and ``wall_virtual_s`` — is
-    bit-identical to the cold run.  ``fixed_pass_s`` is the facet's
-    fixed per-pass duration evaluated while the facet clock was
-    prepared, so the :class:`~repro.exec.jobs.ProbeCostModel` rebuilds
-    identically from cached data without a live ``BenchContext``.
-    ``prepared=False`` records a facet whose clock could not be locked
-    (the failed settle attempt still consumed ``elapsed_virtual_s``).
+    bit-identical to the cold run.  ``prepared=False`` records a facet
+    whose clock could not be locked (the failed settle attempt still
+    consumed ``elapsed_virtual_s``).
     """
 
     facet_index: int
@@ -115,7 +111,6 @@ class FacetCalibration:
     prepared: bool
     phase1: "Phase1Result | None"  # noqa: F821 - annotation only
     probe: "ProbeInfo | None"  # noqa: F821 - annotation only
-    fixed_pass_s: float
     elapsed_virtual_s: float
 
 

@@ -78,7 +78,6 @@ class ProbeInfo:
 
     max_latency_s: float
     median_latency_s: float
-    pair_latencies: tuple[tuple[float, float, float], ...]  # (init, tgt, lat)
 
 
 def _probe_pairs(
@@ -105,7 +104,7 @@ def probe_windows(bench: BenchContext, phase1: Phase1Result) -> ProbeInfo:
     """Estimate the switch-window size from a few probe measurements."""
     cfg = bench.config
     kernel = phase1.kernel
-    results: list[tuple[float, float, float]] = []
+    latencies: list[float] = []
     for init, target in _probe_pairs(cfg, phase1):
         window_s = cfg.probe_window_s
         latency = None
@@ -122,14 +121,13 @@ def probe_windows(bench: BenchContext, phase1: Phase1Result) -> ProbeInfo:
             if ev.window_too_short:
                 window_s *= cfg.window_growth_factor
         if latency is not None:
-            results.append((init, target, latency))
-    if not results:
+            latencies.append(latency)
+    if not latencies:
         raise MeasurementError("all probe measurements failed")
-    lats = np.asarray([r[2] for r in results])
+    lats = np.asarray(latencies)
     return ProbeInfo(
         max_latency_s=float(lats.max()),
         median_latency_s=float(np.median(lats)),
-        pair_latencies=tuple(results),
     )
 
 

@@ -125,14 +125,11 @@ class LatestConfig:
     max_consecutive_failures: int = 12
 
     # ----- worker supervision (execution engine) ------------------------
-    #: wall-clock seconds of job timeout per expected *virtual* second of
-    #: pair cost (:class:`repro.exec.jobs.ProbeCostModel`); ``None``
-    #: disables per-job timeouts (the default — there is no universal
-    #: virtual→wall mapping, so opting in means calibrating the factor to
-    #: the host)
-    job_timeout_factor: float | None = None
-    #: additive wall-clock floor under every per-job timeout
-    job_timeout_floor_s: float = 5.0
+    #: wall-clock seconds one pair job may run on a pool worker before it
+    #: counts as hung and is retried on a rebuilt pool; ``None`` disables
+    #: deadlines (the default — a pair's cost is set at run time by the
+    #: RSE stopping rule, so opting in means sizing it to the host)
+    job_timeout_s: float | None = None
     #: times a crashed/timed-out/transport-failed job is retried before
     #: its pair is quarantined (recorded as a skip reason instead of
     #: aborting the campaign); retries are bit-identical by the engine's
@@ -223,10 +220,8 @@ class LatestConfig:
             raise ConfigError("max_measurements below min_measurements")
         if self.delay_iterations < 1 or self.confirm_iterations < 1:
             raise ConfigError("delay/confirm iteration counts must be >= 1")
-        if self.job_timeout_factor is not None and self.job_timeout_factor <= 0:
-            raise ConfigError("job_timeout_factor must be positive (or None)")
-        if self.job_timeout_floor_s < 0:
-            raise ConfigError("job_timeout_floor_s must be >= 0")
+        if self.job_timeout_s is not None and not self.job_timeout_s > 0:
+            raise ConfigError("job_timeout_s must be positive (or None)")
         if self.max_job_retries < 0:
             raise ConfigError("max_job_retries must be >= 0")
         if self.retry_backoff_s < 0 or self.retry_backoff_max_s < 0:

@@ -36,8 +36,7 @@ EXECUTION_ONLY_FIELDS = frozenset(
     {
         "output_dir",
         "inject_faults",
-        "job_timeout_factor",
-        "job_timeout_floor_s",
+        "job_timeout_s",
         "max_job_retries",
         "retry_backoff_s",
         "retry_backoff_max_s",

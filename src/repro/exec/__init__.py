@@ -11,9 +11,7 @@ Dispatch contract
 The shared campaign payload (config, blueprint, phase-1 statistics, probe
 estimate, epoch) ships to each worker process exactly once through the
 pool initializer; jobs themselves are three numbers.  Jobs are submitted
-**longest-expected-pair-first** using the probe latencies as a cost model
-(:class:`repro.exec.jobs.ProbeCostModel`) — straggler-aware scheduling
-that only affects wall clock: results merge by pair index, so neither
+in grid-index order and results merge by pair index, so neither
 submission order nor completion order can influence the
 :class:`CampaignResult`.  Worker processes additionally keep a skeleton
 cache of deterministic machine-build products (per-pair latency-model
@@ -49,7 +47,6 @@ from repro.exec.jobs import (
     CampaignPayload,
     PairJob,
     PairJobResult,
-    ProbeCostModel,
     SupervisionPolicy,
     pair_seed_sequence,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "FaultPlan",
     "PairJob",
     "PairJobResult",
-    "ProbeCostModel",
     "SupervisionPolicy",
     "UnitState",
     "mp_context",

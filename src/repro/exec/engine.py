@@ -31,10 +31,9 @@ loop; the worker-side entry points and replica construction live in
 :mod:`repro.exec.worker` (re-exported here), including the per-process
 skeleton cache that amortizes replica construction cost across jobs.
 
-Dispatch is **straggler-aware**: jobs are submitted longest-expected-first
-(``expected_pair_cost``, a cost model built from the probe latencies) and
-collected as they complete, so a slow pair starts early instead of
-serializing the pool tail.  Results leave the executor as
+Jobs are submitted in grid-index order and collected as they complete
+(a pair's cost is set at run time by the RSE stopping rule, so there is
+nothing to rank by in advance).  Results leave the executor as
 **completion-order** :class:`~repro.core.stream.PairMeasured` events on
 the campaign event stream (:mod:`repro.core.stream`), each carrying its
 flat grid index; because jobs share no mutable state and every stream
@@ -128,7 +127,6 @@ from repro.exec.jobs import (
     CampaignPayload,
     PairJob,
     PairJobResult,
-    ProbeCostModel,
     SupervisionPolicy,
 )
 from repro.exec.supervise import (
@@ -275,10 +273,6 @@ class CampaignExecutor:
         self.journal_dir = None if journal is None else str(journal)
         self.resume = bool(resume)
         self.sinks = tuple(sinks)
-        #: per-facet fixed pass duration for the dispatch cost model,
-        #: filled by :meth:`_calibrate_facets` from each facet's
-        #: calibration record
-        self._fixed_pass_by_facet: dict = {}
 
     # ------------------------------------------------------------------
     def _build_jobs(
@@ -383,8 +377,7 @@ class CampaignExecutor:
         same whether the calibrations ran sequentially, in parallel, or
         came from the cache.
 
-        Returns ``(phase1_by_facet, probe_by_facet)`` and fills
-        ``self._fixed_pass_by_facet`` for the dispatch cost model.
+        Returns ``(phase1_by_facet, probe_by_facet)``.
         """
         machine, config = self.machine, self.config
         facet_plan = config.facet_plan()
@@ -431,7 +424,6 @@ class CampaignExecutor:
                 continue
             phase1_by_facet[facet] = cal.phase1
             probe_by_facet[facet] = cal.probe
-            self._fixed_pass_by_facet[facet] = cal.fixed_pass_s
             dispatch.emit(
                 FacetPrepared(
                     facet_index=facet_index,
@@ -561,35 +553,6 @@ class CampaignExecutor:
             n_loaded=len(loaded),
         )
 
-    def job_cost(self, payload: CampaignPayload):
-        """Expected-cost callable over this campaign's jobs.
-
-        Each facet gets the cost model built from *its own* probe
-        latencies — iteration times (and thus pair costs) respond to the
-        facet clock (the locked memory P-state of a grid, the locked SM
-        clock of a facet sweep), so ranking a k≥2-facet campaign with the
-        first facet's probes would misorder whole facets — plus the
-        facet's fixed per-pass duration (filled by
-        :meth:`_calibrate_facets`), so cross-facet ordering stays honest
-        when locked-SM facets differ in iteration time.  :meth:`_execute`
-        ranks jobs with it; external dispatchers (the service tier) size
-        shards and scheduler quanta with the same callable.
-        """
-        models: dict = {}
-
-        def cost(job: PairJob) -> float:
-            model = models.get(job.facet)
-            if model is None:
-                model = models[job.facet] = ProbeCostModel(
-                    payload.probe_for(job.facet),
-                    fixed_pass_s=self._fixed_pass_by_facet.get(
-                        job.facet, 0.0
-                    ),
-                )
-            return model.cost(job.init_mhz, job.target_mhz)
-
-        return cost
-
     def _execute(self, prep: PreparedCampaign) -> None:
         """Measure ``prep.todo`` as supervised one-job units and record them.
 
@@ -641,18 +604,8 @@ class CampaignExecutor:
                     prep, [[job] for job in jobs], guard, on_result, on_retry
                 )
             else:
-                # Straggler-aware dispatch: longest-expected pair first, so
-                # the costliest job never starts last and the pool drains
-                # evenly.  Ordering cannot affect results (the merge is
-                # index-keyed).  The same cost model feeds the supervision
-                # deadlines: a unit's timeout scales with its expected cost.
-                job_cost = self.job_cost(prep.payload)
-                ranked = sorted(
-                    jobs, key=lambda job: (-job_cost(job), job.index)
-                )
                 run_units_pool(
-                    [[job] for job in ranked],
-                    [job_cost(job) for job in ranked],
+                    [[job] for job in jobs],
                     SupervisionPolicy.from_config(self.config),
                     guard,
                     on_result,

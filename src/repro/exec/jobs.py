@@ -26,7 +26,6 @@ __all__ = [
     "CampaignPayload",
     "PairJob",
     "PairJobResult",
-    "ProbeCostModel",
     "SupervisionPolicy",
     "calibration_seed_sequence",
     "pair_seed_sequence",
@@ -211,15 +210,14 @@ class SupervisionPolicy:
 
     Derived from the resilience fields of
     :class:`~repro.core.config.LatestConfig`; shared by the in-process
-    and process-pool dispatch paths.  ``timeout_factor`` maps a unit's
-    expected *virtual* cost (probe-latency cost model) to a wall-clock
-    deadline; ``None`` disables deadlines.  Retries are bounded: a unit
+    and process-pool dispatch paths.  ``timeout_s`` is the wall-clock
+    deadline of one dispatched unit (``None`` disables deadlines); only
+    the process-pool path can enforce it.  Retries are bounded: a unit
     that fails more than ``max_retries`` times is quarantined — its pairs
     become recorded skip reasons instead of aborting the campaign.
     """
 
-    timeout_factor: float | None = None
-    timeout_floor_s: float = 5.0
+    timeout_s: float | None = None
     max_retries: int = 2
     backoff_s: float = 0.25
     backoff_max_s: float = 10.0
@@ -230,19 +228,10 @@ class SupervisionPolicy:
     @classmethod
     def from_config(cls, config: LatestConfig) -> "SupervisionPolicy":
         return cls(
-            timeout_factor=config.job_timeout_factor,
-            timeout_floor_s=config.job_timeout_floor_s,
+            timeout_s=config.job_timeout_s,
             max_retries=config.max_job_retries,
             backoff_s=config.retry_backoff_s,
             backoff_max_s=config.retry_backoff_max_s,
-        )
-
-    def timeout_for(self, cost_virtual_s: float) -> float | None:
-        """Wall-clock deadline for a unit of the given expected cost."""
-        if self.timeout_factor is None:
-            return None
-        return self.timeout_floor_s + self.timeout_factor * max(
-            cost_virtual_s, 0.0
         )
 
     def backoff_for(self, attempts: int) -> float:
@@ -250,64 +239,3 @@ class SupervisionPolicy:
         if attempts <= 0 or self.backoff_s <= 0:
             return 0.0
         return min(self.backoff_s * 2.0 ** (attempts - 1), self.backoff_max_s)
-
-
-class ProbeCostModel:
-    """Deterministic pair-cost estimates for straggler-aware dispatch.
-
-    Longer switching latencies mean longer settle phases, larger windows
-    after growth, and more virtual seconds per pass, so the probe
-    latencies are the natural cost model.  An exact probe match wins;
-    otherwise pairs sharing a probed target frequency are averaged
-    (latency depends mostly on the target band); otherwise the probe
-    median scaled by the relative frequency distance stands in.  Only the
-    *ordering* matters — the merge is index-keyed, so dispatch order never
-    affects results.  The probe lookup tables build once per campaign,
-    not once per job, so sorting a dense pair grid stays O(P log P).
-
-    ``fixed_pass_s`` folds the facet's per-pass fixed work — the delay
-    and confirmation iterations at the facet's locked-SM iteration
-    duration — into every estimate.  The probe latency alone is a fine
-    *within*-facet ranking but a wrong *cross*-facet one: on the memory
-    and power axes a slow locked-SM facet makes every pass longer
-    regardless of its switching latency, so without the additive facet
-    term a multi-facet sort interleaves facets by latency and starts the
-    slow facet's pairs too late.
-    """
-
-    def __init__(
-        self, probe: ProbeInfo | None, fixed_pass_s: float = 0.0
-    ) -> None:
-        self._probe = probe
-        self._fixed_pass_s = float(fixed_pass_s)
-        self._by_pair: dict[tuple[float, float], float] = {}
-        self._by_target: dict[float, float] = {}
-        self._span = 0.0
-        if probe is not None and probe.pair_latencies:
-            self._by_pair = {
-                (i, t): lat for i, t, lat in probe.pair_latencies
-            }
-            targets: dict[float, list[float]] = {}
-            for (i, t), lat in self._by_pair.items():
-                targets.setdefault(t, []).append(lat)
-                self._span = max(self._span, abs(t - i))
-            self._by_target = {
-                t: float(np.mean(lats)) for t, lats in targets.items()
-            }
-
-    def cost(self, init_mhz: float, target_mhz: float) -> float:
-        if not self._by_pair:
-            return abs(target_mhz - init_mhz) + self._fixed_pass_s
-        exact = self._by_pair.get((init_mhz, target_mhz))
-        if exact is not None:
-            return exact + self._fixed_pass_s
-        same_target = self._by_target.get(target_mhz)
-        if same_target is not None:
-            return same_target + self._fixed_pass_s
-        distance = abs(target_mhz - init_mhz)
-        scale = distance / self._span if self._span > 0 else 1.0
-        return (
-            self._probe.median_latency_s * (0.5 + scale) + self._fixed_pass_s
-        )
-
-

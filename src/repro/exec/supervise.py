@@ -57,13 +57,13 @@ def mp_context():
 class UnitState:
     """Supervision bookkeeping for one dispatch unit (a job list)."""
 
-    __slots__ = ("jobs", "attempts", "cost", "deadline")
+    __slots__ = ("jobs", "attempts", "deadline")
 
-    def __init__(self, jobs: list[PairJob], cost: float = 0.0) -> None:
+    def __init__(self, jobs: list[PairJob]) -> None:
         self.jobs = jobs
         self.attempts = 0
-        self.cost = cost
-        #: wall-clock deadline of the current dispatch (None = no timeout)
+        #: wall-clock deadline of the current dispatch, set once the unit
+        #: runs (None = not running yet, or no timeout)
         self.deadline: float | None = None
 
     def jobs_for_attempt(self) -> list[PairJob]:
@@ -165,7 +165,6 @@ def run_units_inprocess(
 
 def run_units_pool(
     units,
-    costs,
     policy: SupervisionPolicy,
     guard,
     on_result,
@@ -180,10 +179,10 @@ def run_units_pool(
 
     ``fn`` is the worker unit entry point and ``initializer(*initargs)``
     installs per-process shared state (the campaign payload).  Each round
-    submits every outstanding unit with a wall-clock deadline derived
-    from its expected cost.  A crashed pool (``BrokenProcessPool``) or an
-    expired deadline tears the round's pool down and re-dispatches the
-    survivors on a fresh one; units that keep failing past
+    submits every outstanding unit in order; once a unit runs, it has
+    ``policy.timeout_s`` wall seconds.  A crashed pool
+    (``BrokenProcessPool``) or an expired deadline tears the round's pool
+    down and re-dispatches the survivors on a fresh one; units that keep failing past
     ``policy.max_retries`` are quarantined.  A shutdown signal stops
     submissions, drains running units, and returns what completed.
     """
@@ -207,7 +206,7 @@ def run_units_pool(
                 on_retry(state.jobs, state.attempts, cause)
             retry.append(state)
 
-    todo = [UnitState(unit, cost) for unit, cost in zip(units, costs)]
+    todo = [UnitState(unit) for unit in units]
     while todo and not (guard is not None and guard.requested):
         backoff = max(
             (policy.backoff_for(state.attempts) for state in todo),
@@ -228,12 +227,7 @@ def run_units_pool(
             future_of = {}
             for state in todo:
                 future = pool.submit(fn, state.jobs_for_attempt())
-                timeout = policy.timeout_for(state.cost)
-                state.deadline = (
-                    None
-                    if timeout is None
-                    else time.monotonic() + timeout
-                )
+                state.deadline = None
                 future_of[future] = state
             remaining = set(future_of)
             while remaining:
@@ -271,6 +265,15 @@ def run_units_pool(
                     remaining.clear()
                     break
                 now = time.monotonic()
+                if policy.timeout_s is not None:
+                    # A unit's clock starts when the pool marks it
+                    # running (moved to the worker call queue), not at
+                    # submission: a long backlog must not eat the
+                    # deadline of the units queued behind it.
+                    for future in remaining:
+                        state = future_of[future]
+                        if state.deadline is None and future.running():
+                            state.deadline = now + policy.timeout_s
                 expired = {
                     future
                     for future in remaining

@@ -100,10 +100,7 @@ def calibrate_facet(
     and the probe — a pure function of
     ``(blueprint, config, facet_index, facet, start_time)``, so parallel
     dispatch, sequential execution, and cache replay are all
-    bit-identical.  The fixed per-pass duration for the dispatch cost
-    model is evaluated here, while the facet clock is prepared, and
-    travels inside the returned
-    :class:`~repro.core.calibcache.FacetCalibration`.
+    bit-identical.
     """
     seed = calibration_seed_sequence(
         blueprint, config.device_index, facet_index, config.axis
@@ -118,28 +115,16 @@ def calibrate_facet(
             prepared=False,
             phase1=None,
             probe=None,
-            fixed_pass_s=0.0,
             elapsed_virtual_s=machine.clock.now - t0,
         )
     phase1 = run_phase1(bench)
     probe = probe_windows(bench, phase1) if phase1.valid_pairs else None
-    # Fixed per-pass duration at this facet (delay + confirmation
-    # iterations at the facet's own iteration time): the additive term
-    # the dispatch cost model needs to rank jobs *across* facets.
-    # Evaluated here because iteration_duration_s reads the locked facet
-    # clock, which is prepared right now.
-    fixed_pass_s = (
-        config.delay_iterations + config.confirm_iterations
-    ) * bench.axis.iteration_duration_s(
-        bench, phase1.kernel, max(config.frequencies)
-    )
     return FacetCalibration(
         facet_index=facet_index,
         facet=facet,
         prepared=True,
         phase1=phase1,
         probe=probe,
-        fixed_pass_s=fixed_pass_s,
         elapsed_virtual_s=machine.clock.now - t0,
     )
 

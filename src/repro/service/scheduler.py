@@ -5,15 +5,16 @@ Two layers, deliberately separated:
 :class:`DeficitRoundRobin`
     The pure, synchronous scheduling core — no asyncio, no threads, no
     clocks.  Tenant queues hold :class:`Shard`\\ s (cost-weighted work
-    units); each round-robin visit grants a queue ``quantum × weight``
-    of deficit credit, a shard dispatches when its cost fits the
-    accumulated deficit, and unspent deficit carries over — the classic
-    DRR guarantee that a queue's long-run share of dispatched cost is
-    proportional to its weight while no queue ever starves (every visit
-    strictly grows the deficit until the head shard fits).  Being pure,
-    its exact dispatch order is a deterministic function of the
-    push/next call sequence — which is what the scheduler unit tests
-    pin, hypothesis sweeps included.
+    units; the service bills each shard its pair count); each
+    round-robin visit grants a queue ``weight`` of deficit credit, a
+    shard dispatches when its cost fits the accumulated deficit, and
+    unspent deficit carries over — the classic DRR guarantee that a
+    queue's long-run share of dispatched cost is proportional to its
+    weight while no queue ever starves (every visit strictly grows the
+    deficit until the head shard fits).  Being pure, its exact dispatch
+    order is a deterministic function of the push/next call sequence —
+    which is what the scheduler unit tests pin, hypothesis sweeps
+    included.
 
 :class:`FairShareScheduler`
     The asyncio wrapper: an event-loop dispatch task that waits for a
@@ -23,11 +24,11 @@ Two layers, deliberately separated:
     time, under whatever mix of campaigns is queued *then*, while the
     event loop never blocks on measurement work.
 
-Quanta are sized from the engine's probe cost model: each campaign
-registers the mean expected cost of its shards as a *quantum hint*, and
-the effective quantum is the largest hint among active queues — so one
-visit grants roughly "one typical shard" of credit and a heavy-shard
-campaign cannot wedge behind a deficit that grows in microscopic steps.
+The currency is pairs: a pair's cost is set at run time by the RSE
+stopping rule, so the only exact count before dispatch is how many
+pairs a shard holds.  One visit grants ``weight`` pairs of
+credit; a shard of ``n`` pairs fits after at most ``ceil(n / weight)``
+visits.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class Shard:
 
     #: tenant queue the shard bills against
     queue: str
-    #: expected virtual cost (probe cost model), the DRR currency
+    #: the DRR currency: the shard's pair count in the service
     cost: float
     #: the work itself, run on a fleet thread (``None`` in pure tests)
     fn: Callable | None = None
@@ -73,7 +74,6 @@ class Shard:
 @dataclass
 class _TenantQueue:
     weight: float
-    quantum_hint: float = 0.0
     deficit: float = 0.0
     #: whether this round's visit credit was already granted
     credited: bool = False
@@ -93,22 +93,15 @@ class DeficitRoundRobin:
         self._ring: deque[str] = deque()
 
     # ------------------------------------------------------------------
-    def add_queue(
-        self, key: str, weight: float = 1.0, quantum_hint: float = 0.0
-    ) -> None:
-        """Register a tenant queue (idempotent; updates weight/hint)."""
+    def add_queue(self, key: str, weight: float = 1.0) -> None:
+        """Register a tenant queue (idempotent; updates the weight)."""
         if not weight > 0:
             raise ConfigError(f"queue weight must be > 0, got {weight}")
         queue = self._queues.get(key)
         if queue is None:
-            self._queues[key] = _TenantQueue(
-                weight=weight, quantum_hint=float(quantum_hint)
-            )
+            self._queues[key] = _TenantQueue(weight=weight)
         else:
             queue.weight = weight
-            queue.quantum_hint = max(
-                queue.quantum_hint, float(quantum_hint)
-            )
 
     def remove_queue(self, key: str) -> list[Shard]:
         """Drop a queue; returns (and discards) its pending shards."""
@@ -138,21 +131,13 @@ class DeficitRoundRobin:
         """Shards waiting across all queues."""
         return sum(len(q.items) for q in self._queues.values())
 
-    def quantum(self) -> float:
-        """Visit credit unit: the largest active quantum hint (min 1)."""
-        hints = [
-            q.quantum_hint for q in self._queues.values() if q.items
-        ]
-        best = max(hints, default=0.0)
-        return best if best > 0.0 else 1.0
-
     def next(self) -> Shard | None:
         """Dispatch the next shard under DRR, or ``None`` when idle.
 
         Starvation-free: a queue whose head shard exceeds its deficit
         rotates to the back with the deficit *kept*, and every revisit
-        grants another ``quantum × weight`` — the head fits after at
-        most ``ceil(cost / (quantum × weight))`` visits.
+        grants another ``weight`` — the head fits after at most
+        ``ceil(cost / weight)`` visits.
         """
         while self._ring:
             key = self._ring[0]
@@ -163,7 +148,7 @@ class DeficitRoundRobin:
                 queue.credited = False
                 continue
             if not queue.credited:
-                queue.deficit += self.quantum() * queue.weight
+                queue.deficit += queue.weight
                 queue.credited = True
             if queue.items[0].cost <= queue.deficit:
                 shard = queue.items.popleft()
@@ -229,11 +214,9 @@ class FairShareScheduler:
         if self._task is None:
             self._task = asyncio.ensure_future(self._dispatch())
 
-    def register(
-        self, queue: str, weight: float = 1.0, quantum_hint: float = 0.0
-    ) -> None:
+    def register(self, queue: str, weight: float = 1.0) -> None:
         """Add (or re-weight) a tenant queue."""
-        self._drr.add_queue(queue, weight=weight, quantum_hint=quantum_hint)
+        self._drr.add_queue(queue, weight=weight)
 
     def unregister(self, queue: str) -> int:
         """Drop a queue; cancels its pending shard futures."""

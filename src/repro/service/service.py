@@ -15,7 +15,7 @@ reports status:
    ``FacetPrepared`` (through the shared calibration cache when one is
    configured), ``PairSkipped``, and journal replays.
 2. **Dispatch**: the remaining jobs are cut into facet-homogeneous
-   shards, costed with the engine's probe cost model, and submitted to
+   shards, each billed its pair count, and submitted to
    the :class:`~repro.service.scheduler.FairShareScheduler` — the
    deficit-round-robin core multiplexes every live campaign's shards
    over one shared :class:`~repro.service.scheduler.WorkerFleet`, so
@@ -344,9 +344,8 @@ class CampaignService:
         )
         return campaign_id
 
-    def _build_shards(self, executor: CampaignExecutor, prep):
-        """Facet-homogeneous job chunks + their cost-model costs."""
-        cost_of = executor.job_cost(prep.payload)
+    def _build_shards(self, prep) -> list[list]:
+        """Facet-homogeneous job chunks of at most ``shard_pairs`` jobs."""
         shards: list[list] = []
         run: list = []
         for job in prep.todo:
@@ -359,8 +358,7 @@ class CampaignService:
             run.append(job)
         if run:
             shards.append(run)
-        costs = [sum(cost_of(job) for job in shard) for shard in shards]
-        return shards, costs
+        return shards
 
     async def _run_campaign(self, campaign: _Campaign, resume: bool) -> None:
         loop = asyncio.get_event_loop()
@@ -410,19 +408,11 @@ class CampaignService:
 
                 return fn
 
-            shards, costs = self._build_shards(executor, prep)
-            if shards:
-                hint = sum(costs) / len(costs)
-                self.scheduler.register(
-                    request.tenant,
-                    weight=request.weight,
-                    quantum_hint=hint,
-                )
             pending = {
                 self.scheduler.submit(
-                    request.tenant, cost, shard_fn(shard)
+                    request.tenant, len(shard), shard_fn(shard)
                 )
-                for shard, cost in zip(shards, costs)
+                for shard in self._build_shards(prep)
             }
             while pending:
                 if campaign.cancel_requested:

@@ -26,7 +26,6 @@ from repro.core.calibcache import (
 )
 from repro.core.stream import FacetPrepared, RecordingSink
 from repro.errors import CampaignInterrupted
-from repro.exec.engine import CampaignExecutor
 from repro.exec.jobs import calibration_seed_sequence
 from repro.exec.worker import calibrate_facet
 from tests.conftest import fast_config
@@ -83,7 +82,6 @@ def _entry(index=0, facet=None):
         prepared=True,
         phase1=None,
         probe=None,
-        fixed_pass_s=1.25,
         elapsed_virtual_s=3.5,
     )
 
@@ -438,6 +436,53 @@ class TestColdWarmIdentity:
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
         assert warm.wall_virtual_s == cold.wall_virtual_s
 
+    def test_entries_with_retired_fields_still_hit(self, tmp_path):
+        # Entries written before the dispatch cost forecast was deleted
+        # carry two more attributes: ``fixed_pass_s`` on the entry and
+        # ``pair_latencies`` on its probe.  Unpickling restores them
+        # into the instance ``__dict__``, the shape re-created here, and
+        # neither the key nor the replay may care.
+        cache_dir = tmp_path / "cc"
+        cold, counts = _counted(
+            run_campaign,
+            _machine(11),
+            _facet_config(
+                calibration_cache=str(cache_dir),
+                output_dir=str(tmp_path / "cold"),
+            ),
+            workers=1,
+        )
+        assert counts == (0, 2)
+        keys = sorted(path.stem for path in cache_dir.glob("*.calib"))
+        assert len(keys) == 2
+        writer = CalibrationCache(cache_dir)
+        for key in keys:
+            entry = writer.get(key)
+            object.__setattr__(entry, "fixed_pass_s", 0.0125)
+            object.__setattr__(
+                entry.probe, "pair_latencies", ((1215.0, 810.0, 0.002),)
+            )
+            writer.install(key, entry)
+        reader = CalibrationCache(cache_dir)
+        for key in keys:
+            entry = reader.get(key)
+            assert entry is not None
+            assert entry.fixed_pass_s == 0.0125
+            assert entry.probe.pair_latencies == ((1215.0, 810.0, 0.002),)
+        warm, counts = _counted(
+            run_campaign,
+            _machine(11),
+            _facet_config(
+                calibration_cache=str(cache_dir),
+                output_dir=str(tmp_path / "warm"),
+            ),
+            workers=1,
+        )
+        assert counts == (2, 0)
+        assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
+        assert warm.wall_virtual_s == cold.wall_virtual_s
+        assert _csv_bytes(tmp_path / "warm") == _csv_bytes(tmp_path / "cold")
+
     def test_reused_machine_keys_by_start_time(self, tmp_path):
         # A machine mid-timeline (device sweeps reuse one machine)
         # consults the cache under its own, later start time: it misses
@@ -513,23 +558,6 @@ class TestParallelFacetCalibration:
                 seq = calibration_seed_sequence(bp, 0, facet_index, axis)
                 seen.add(tuple(seq.spawn_key))
         assert len(seen) == 9
-
-    def test_cost_model_rebuilds_from_cached_data(self, tmp_path):
-        # Satellite: the dispatch cost model must come up identically
-        # from deserialized cache entries, with no live BenchContext.
-        cache = str(tmp_path / "cc")
-
-        def cfg():
-            return self._three_facet_config(calibration_cache=cache)
-
-        cold_exec = CampaignExecutor(_machine(11), cfg(), workers=1)
-        cold_exec.run()
-        warm_exec = CampaignExecutor(_machine(11), cfg(), workers=1)
-        warm_exec.run()
-        assert warm_exec._fixed_pass_by_facet == cold_exec._fixed_pass_by_facet
-        assert set(warm_exec._fixed_pass_by_facet) == {1410.0, 1095.0, 810.0}
-        for fixed in warm_exec._fixed_pass_by_facet.values():
-            assert fixed > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -255,3 +255,33 @@ class TestMain:
         )
         assert code == 0
         assert "RTX Quadro 6000" in capsys.readouterr().out
+
+    def test_job_timeout_reaches_config(self, monkeypatch, capsys):
+        import repro.cli
+
+        seen = []
+        real = repro.cli.run_campaign
+
+        def spy(machine, config, **kwargs):
+            seen.append(config)
+            return real(machine, config, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "run_campaign", spy)
+        code = main(
+            [
+                "705,1410",
+                "--sm-count", "4",
+                "--min-measurements", "4",
+                "--max-measurements", "6",
+                "--seed", "3",
+                "--quiet",
+                "--job-timeout", "2.5",
+            ]
+        )
+        assert code == 0
+        assert [config.job_timeout_s for config in seen] == [2.5]
+
+    @pytest.mark.parametrize("seconds", ["0", "-1"])
+    def test_non_positive_job_timeout_exits(self, seconds):
+        with pytest.raises(SystemExit, match="job_timeout_s"):
+            main(["705,1410", "--quiet", "--job-timeout", seconds])

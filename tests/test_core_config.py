@@ -55,6 +55,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             LatestConfig(frequencies=(0.0, 1410.0))
 
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
+    def test_non_positive_job_timeout_rejected(self, seconds):
+        with pytest.raises(ConfigError, match="job_timeout_s"):
+            config(job_timeout_s=seconds)
+
+    def test_job_timeout_defaults_to_none(self):
+        assert config().job_timeout_s is None
+        assert config(job_timeout_s=2.5).job_timeout_s == 2.5
+
     def test_memory_frequency_invariants(self):
         with pytest.raises(ConfigError):
             config(memory_frequencies=())

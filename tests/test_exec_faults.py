@@ -8,15 +8,28 @@ These tests drive each recovery path with :mod:`repro.exec.faults` and
 assert that contract.
 """
 
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from repro import make_machine, run_campaign
 from repro.errors import ConfigError
-from repro.exec import FaultInjected, FaultPlan
+from repro.exec import (
+    FaultInjected,
+    FaultPlan,
+    PairJob,
+    SupervisionPolicy,
+    run_units_pool,
+)
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint
+
+
+def _slow_unit(jobs):
+    """Pool entry point for a unit that takes 0.3 s and lands nothing."""
+    time.sleep(0.3)
+    return []
 
 
 def _fault_config(**overrides):
@@ -114,12 +127,32 @@ class TestEngineRecovery:
         machine = make_machine("A100", seed=777)
         cfg = _fault_config(
             inject_faults="hang@0:60",
-            job_timeout_factor=1e-6,
-            job_timeout_floor_s=0.5,
+            job_timeout_s=0.5,
         )
         result = run_campaign(machine, cfg, workers=2)
         assert _campaign_fingerprint(result) == baseline
         assert any(p.n_retries > 0 for p in result.pairs.values())
+
+    def test_deadline_counts_from_job_start(self):
+        # Eight 0.3 s units queue behind one worker for 2.4 s in all, but
+        # each runs well inside its 1.5 s deadline: none may time out.
+        landed, retried = [], []
+        run_units_pool(
+            [
+                [PairJob(index=i, init_mhz=705.0, target_mhz=1410.0)]
+                for i in range(8)
+            ],
+            SupervisionPolicy(timeout_s=1.5),
+            None,
+            landed.append,
+            workers=1,
+            fn=_slow_unit,
+            initializer=None,
+            initargs=(),
+            on_retry=lambda *retry: retried.append(retry),
+        )
+        assert retried == []
+        assert len(landed) == 8
 
     def test_persistent_failure_quarantined(self):
         machine = make_machine("A100", seed=777)

@@ -60,7 +60,7 @@ class TestFingerprint:
         varied = _cfg(
             output_dir="/tmp/elsewhere",
             max_job_retries=9,
-            job_timeout_factor=3.0,
+            job_timeout_s=3.0,
             retry_backoff_s=0.0,
             inject_faults="kill@0",
         )

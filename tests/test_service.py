@@ -23,6 +23,7 @@ from repro.core.stream import FacetPrepared, PairMeasured, PairRetried
 from repro.errors import ConfigError, ServiceUnavailable
 from repro.service.client import SocketClient
 from repro.service.requests import CampaignRequest
+from repro.service.scheduler import FairShareScheduler
 from repro.service.server import ServiceServer, event_to_wire
 from repro.service.service import CampaignService
 from tests.conftest import fast_config
@@ -171,6 +172,55 @@ class TestConcurrentBitIdentity:
                 _campaign_fingerprint(ref)
             ), f"shard_pairs={shard_pairs} diverged"
             assert result.wall_virtual_s == ref.wall_virtual_s
+
+
+class TestFairShareBilling:
+    def test_shards_are_billed_their_pair_count(self, monkeypatch):
+        # The DRR currency is the shard's pair count: every shard the
+        # service submits costs exactly as many pairs as it measures,
+        # including the partial shard that closes each facet.
+        seen, submitted = [], []
+        original = FairShareScheduler.submit
+
+        def spy(self, queue, cost, fn):
+            def counted():
+                results, retries = fn()
+                seen.append((cost, len(results)))
+                return results, retries
+
+            submitted.append(cost)
+            return original(self, queue, cost, counted)
+
+        monkeypatch.setattr(FairShareScheduler, "submit", spy)
+        facets = (1410.0, 1095.0)
+
+        async def main():
+            service = CampaignService(fleet_size=1, shard_pairs=4)
+            await service.start()
+            campaign_id = await service.submit(
+                _request(
+                    17,
+                    frequencies=(1215.0, 810.0, 405.0),
+                    axis="memory",
+                    locked_sm_mhz=list(facets),
+                )
+            )
+            result = await service.result(campaign_id)
+            await service.stop()
+            return result
+
+        result = asyncio.run(main())
+        expected = []
+        for facet in facets:
+            n = sum(
+                1
+                for p in result.pairs.values()
+                if p.locked_sm_mhz == facet and not p.skipped
+            )
+            assert n % 4  # each facet ends on a partial shard
+            expected += [4] * (n // 4) + ([n % 4] if n % 4 else [])
+        assert submitted == expected
+        assert sorted(seen) == sorted((n, n) for n in expected)
 
 
 class TestRestartResume:

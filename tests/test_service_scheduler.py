@@ -67,7 +67,7 @@ class TestDeficitRoundRobin:
 
     def test_large_shard_is_not_starved(self):
         # A cost-10 shard behind a stream of unit shards on an
-        # equal-weight competitor: its deficit grows by one quantum per
+        # equal-weight competitor: its deficit grows by its weight per
         # rotation, so it must dispatch within ~10 rotations.
         drr = DeficitRoundRobin()
         drr.add_queue("big", weight=1.0)
@@ -83,7 +83,7 @@ class TestDeficitRoundRobin:
         # Queue "a" drains with 0.75 credit to spare; when it comes back
         # the leftover must be gone (no banking while idle).  A banked
         # 0.75 would let the cost-1.5 shard dispatch on the very first
-        # visit (0.75 + 1.0 quantum); forfeited, it needs two visits and
+        # visit (0.75 + 1.0 weight); forfeited, it needs two visits and
         # "b" goes first.
         drr = DeficitRoundRobin()
         drr.add_queue("a", weight=1.0)
@@ -96,23 +96,6 @@ class TestDeficitRoundRobin:
         drr.push(Shard(queue="b", cost=1.0))
         order = [s.queue for s in _drain(drr)]
         assert order == ["b", "a", "b"]
-
-    def test_quantum_is_max_hint_among_backlogged_queues(self):
-        drr = DeficitRoundRobin()
-        drr.add_queue("a", quantum_hint=2.0)
-        drr.add_queue("b", quantum_hint=5.0)
-        assert drr.quantum() == 1.0  # nothing queued yet
-        drr.push(Shard(queue="a", cost=1.0))
-        assert drr.quantum() == 2.0
-        drr.push(Shard(queue="b", cost=1.0))
-        assert drr.quantum() == 5.0
-
-    def test_reregister_merges_hint_upward(self):
-        drr = DeficitRoundRobin()
-        drr.add_queue("a", quantum_hint=4.0)
-        drr.add_queue("a", quantum_hint=2.0)
-        drr.push(Shard(queue="a", cost=1.0))
-        assert drr.quantum() == 4.0
 
     def test_remove_queue_returns_pending_shards(self):
         drr = DeficitRoundRobin()
@@ -129,7 +112,7 @@ class TestDeficitRoundRobin:
     def test_same_sequence_same_dispatch_order(self):
         def run():
             drr = DeficitRoundRobin()
-            drr.add_queue("a", weight=1.5, quantum_hint=2.0)
+            drr.add_queue("a", weight=1.5)
             drr.add_queue("b", weight=0.5)
             for seq, (queue, cost) in enumerate(
                 [("a", 3.0), ("b", 1.0), ("a", 0.5), ("b", 2.5), ("a", 1.0)]
@@ -138,6 +121,36 @@ class TestDeficitRoundRobin:
             return [s.seq for s in _drain(drr)]
 
         assert run() == run()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        light=st.lists(st.integers(min_value=1, max_value=4), min_size=8),
+        heavy=st.lists(st.integers(min_value=1, max_value=4), min_size=8),
+    )
+    def test_pair_billing_keeps_weight_share_within_one_shard(
+        self, light, heavy
+    ):
+        # Shards billed by pair count, 1-4 pairs each, on weight-1 and
+        # weight-2 queues: at every point of the dispatch order while
+        # both queues are backlogged, each queue's dispatched pairs are
+        # within one (largest) shard of its weight share of all pairs
+        # dispatched so far.
+        drr = DeficitRoundRobin()
+        drr.add_queue("light", weight=1.0)
+        drr.add_queue("heavy", weight=2.0)
+        for queue, sizes in (("light", light), ("heavy", heavy)):
+            for seq, pairs in enumerate(sizes):
+                drr.push(Shard(queue=queue, cost=pairs, seq=seq))
+        left = {"light": len(light), "heavy": len(heavy)}
+        sent = {"light": 0, "heavy": 0}
+        for shard in _drain(drr):
+            sent[shard.queue] += shard.cost
+            left[shard.queue] -= 1
+            total = sent["light"] + sent["heavy"]
+            assert abs(sent["light"] - total / 3) <= 4
+            assert abs(sent["heavy"] - 2 * total / 3) <= 4
+            if not left[shard.queue]:
+                break
 
     @settings(max_examples=60, deadline=None)
     @given(
