@@ -5,6 +5,12 @@ a comma-separated list of the benchmarked frequencies", plus optional
 device index, relative-standard-error threshold, and minimum/maximum
 measurement counts.  The simulated-environment extras (GPU model, seed,
 recorded-SM count) are grouped separately.
+
+That argument set is defined once, by :func:`add_campaign_arguments`,
+and mapped to a campaign once, by :func:`campaign_request`:
+``latest-bench`` and ``repro submit`` (:mod:`repro.service.cli`) both
+parse it and both build their campaign from the resulting
+:class:`~repro.service.requests.CampaignRequest`.
 """
 
 from __future__ import annotations
@@ -19,48 +25,43 @@ from repro.analysis.render import (
     render_table2,
 )
 from repro.analysis.summary import summarize_campaign
-from repro.core.config import LatestConfig
 from repro.core.stream import FacetPrepared, ProgressSink, RecordingSink
 from repro.errors import CampaignInterrupted, ReproError
 from repro.exec.engine import run_campaign
-from repro.machine import make_machine
+from repro.service.requests import CampaignRequest
 
-__all__ = ["build_parser", "main"]
+__all__ = ["add_campaign_arguments", "build_parser", "campaign_request", "main"]
+
+#: ``--axis`` choice -> ``LatestConfig.axis``
+_AXES = {"sm": "sm_core", "memory": "memory", "power": "power"}
+#: what the positional list holds on each axis (error messages)
+_AXIS_VALUES = {
+    "sm_core": "frequency",
+    "memory": "memory frequency",
+    "power": "power limit",
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="latest-bench",
-        description=(
-            "Measure GPU SM frequency switching latency on a simulated "
-            "CUDA device (reproduction of the LATEST methodology)."
-        ),
-    )
+def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the flags that define one campaign (the LATEST argument set).
+
+    Shared by ``latest-bench`` and ``repro submit``; read back by
+    :func:`campaign_request`.
+    """
     parser.add_argument(
         "frequencies",
-        nargs="?",
-        default=None,
         help="comma-separated swept-axis values to benchmark: SM clocks "
         "in MHz by default (e.g. 705,1095,1410), memory clocks with "
-        "--axis memory, power limits in W with --axis power (where "
-        "--power-limits may supply them instead)",
+        "--axis memory, power limits in W with --axis power",
     )
     parser.add_argument(
         "--axis",
-        choices=("sm", "memory", "power"),
+        choices=tuple(_AXES),
         default="sm",
         help="actuator to sweep: 'sm' (the paper's setup, default), "
         "'memory' (memory-clock pair switching latency at a locked SM "
         "clock) or 'power' (board power-limit switching latency at a "
         "locked SM clock)",
-    )
-    parser.add_argument(
-        "--power-limits",
-        default=None,
-        metavar="LIST",
-        help="comma-separated board power limits in W to sweep (each must "
-        "be on the device's settable ladder); alternative to the "
-        "positional list with --axis power",
     )
     parser.add_argument(
         "--locked-sm",
@@ -72,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
         "clock (facet sweep — the transpose of the core×memory grid)",
     )
     parser.add_argument(
-        "--kernel-memory-intensity",
-        type=float,
+        "--memory-frequencies",
         default=None,
-        metavar="BETA",
-        help="memory-bound fraction of the benchmark kernel in [0, 1); "
-        "default: the swept axis's own default (0.30 for --axis sm, "
-        "0.70 for --axis memory)",
+        metavar="LIST",
+        help="comma-separated memory clocks in MHz to sweep the SM pair "
+        "grid over (core×memory campaign; each clock must be on the "
+        "device's supported memory ladder); omit for the classic "
+        "fixed-memory campaign",
     )
     parser.add_argument(
         "--device", type=int, default=0, help="GPU index (default 0)"
@@ -102,18 +103,48 @@ def build_parser() -> argparse.ArgumentParser:
         help="hard per-pair measurement cap",
     )
     parser.add_argument(
-        "--memory-frequencies",
-        default=None,
-        metavar="LIST",
-        help="comma-separated memory clocks in MHz to sweep the SM pair "
-        "grid over (core×memory campaign; each clock must be on the "
-        "device's supported memory ladder); omit for the classic "
-        "fixed-memory campaign",
-    )
-    parser.add_argument(
         "--output-dir",
         default=None,
         help="directory for the per-pair CSV files",
+    )
+    sim = parser.add_argument_group("simulated environment")
+    sim.add_argument(
+        "--gpu-model",
+        default="A100",
+        help="A100 | GH200 | RTX6000 (default A100)",
+    )
+    sim.add_argument(
+        "--n-gpus", type=int, default=1, help="GPUs on the simulated node"
+    )
+    sim.add_argument("--seed", type=int, default=0, help="simulation seed")
+    sim.add_argument(
+        "--sm-count",
+        type=int,
+        default=None,
+        help="SMs recorded by the benchmark kernel (default: all)",
+    )
+    sim.add_argument(
+        "--hostname", default="simnode01", help="simulated hostname"
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="latest-bench",
+        description=(
+            "Measure GPU SM frequency switching latency on a simulated "
+            "CUDA device (reproduction of the LATEST methodology)."
+        ),
+    )
+    add_campaign_arguments(parser)
+    parser.add_argument(
+        "--kernel-memory-intensity",
+        type=float,
+        default=None,
+        metavar="BETA",
+        help="memory-bound fraction of the benchmark kernel in [0, 1); "
+        "default: the swept axis's own default (0.30 for --axis sm, "
+        "0.70 for --axis memory)",
     )
     parser.add_argument(
         "--workers",
@@ -166,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock deadline of one pair job on a pool worker "
-        "(--workers > 1); a job that blows it is treated as hung and "
-        "retried on a rebuilt pool (default: no deadlines)",
+        help="wall-clock deadline of one pair job, at any --workers (a "
+        "deadline runs even --workers 1 on a one-process pool); a job "
+        "that blows it is treated as hung and retried on a rebuilt pool "
+        "(default: no deadlines)",
     )
     fault.add_argument(
         "--inject-faults",
@@ -177,25 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic fault injection for testing the recovery "
         "paths: semicolon-separated kind@index[*fires][:param] actions, "
         "kinds kill/hang/raise/interrupt (see repro.exec.faults)",
-    )
-    sim = parser.add_argument_group("simulated environment")
-    sim.add_argument(
-        "--gpu-model",
-        default="A100",
-        help="A100 | GH200 | RTX6000 (default A100)",
-    )
-    sim.add_argument(
-        "--n-gpus", type=int, default=1, help="GPUs on the simulated node"
-    )
-    sim.add_argument("--seed", type=int, default=0, help="simulation seed")
-    sim.add_argument(
-        "--sm-count",
-        type=int,
-        default=None,
-        help="SMs recorded by the benchmark kernel (default: all)",
-    )
-    sim.add_argument(
-        "--hostname", default="simnode01", help="simulated hostname"
     )
     parser.add_argument(
         "--heatmaps",
@@ -253,32 +266,20 @@ def parse_frequencies(
     return freqs
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    axis = {"sm": "sm_core", "memory": "memory", "power": "power"}[args.axis]
-    if args.power_limits is not None and axis != "power":
-        raise SystemExit("--power-limits only applies to --axis power")
-    if axis == "power":
-        if args.power_limits is not None and args.frequencies is not None:
-            raise SystemExit(
-                "give the power-limit ladder once: either positionally or "
-                "via --power-limits, not both"
-            )
-        source = args.power_limits or args.frequencies
-        if source is None:
-            raise SystemExit(
-                "the power axis needs a power-limit ladder (positional or "
-                "--power-limits), e.g. 400,330,270"
-            )
-        freqs = parse_frequencies(source, label="power limit")
-    else:
-        if args.frequencies is None:
-            raise SystemExit("a comma-separated frequency list is required")
-        freqs = parse_frequencies(
-            args.frequencies,
-            label="memory frequency" if axis == "memory" else "frequency",
-        )
-    if axis != "sm_core" and args.memory_frequencies is not None:
+def campaign_request(
+    args: argparse.Namespace, **request_fields
+) -> CampaignRequest:
+    """The campaign the :func:`add_campaign_arguments` flags describe.
+
+    ``request_fields`` are the request's tenancy fields (``tenant``,
+    ``weight``); settings outside the shared flag set are layered on by
+    the caller through :meth:`CampaignRequest.build_config` overrides.
+    Malformed lists and flags that do not apply to the chosen axis exit
+    with a :class:`SystemExit`.
+    """
+    axis = _AXES[args.axis]
+    freqs = parse_frequencies(args.frequencies, label=_AXIS_VALUES[axis])
+    if args.memory_frequencies is not None and axis != "sm_core":
         raise SystemExit(
             "--memory-frequencies (core×memory grid facets) only applies "
             "to --axis sm; other axes sweep their own values through "
@@ -297,29 +298,35 @@ def main(argv: list[str] | None = None) -> int:
         if args.memory_frequencies is not None
         else None
     )
-
-    if args.resume and args.journal is None:
-        raise SystemExit("--resume needs --journal DIR")
-
-    machine = make_machine(
-        args.gpu_model,
+    return CampaignRequest(
+        gpu_model=args.gpu_model,
         n_gpus=args.n_gpus,
         seed=args.seed,
         hostname=args.hostname,
+        config={
+            "frequencies": freqs,
+            "axis": axis,
+            "locked_sm_mhz": locked_sm,
+            "memory_frequencies": mem_freqs,
+            "device_index": args.device,
+            "rse_threshold": args.rse,
+            "min_measurements": args.min_measurements,
+            "max_measurements": args.max_measurements,
+            "record_sm_count": args.sm_count,
+            "output_dir": args.output_dir,
+        },
+        **request_fields,
     )
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    request = campaign_request(args)
+    if args.resume and args.journal is None:
+        raise SystemExit("--resume needs --journal DIR")
     try:
-        config = LatestConfig(
-            frequencies=freqs,
-            axis=axis,
-            locked_sm_mhz=locked_sm,
+        config = request.build_config(
             kernel_memory_intensity=args.kernel_memory_intensity,
-            memory_frequencies=mem_freqs,
-            device_index=args.device,
-            rse_threshold=args.rse,
-            min_measurements=args.min_measurements,
-            max_measurements=args.max_measurements,
-            record_sm_count=args.sm_count,
-            output_dir=args.output_dir,
             max_job_retries=args.max_job_retries,
             job_timeout_s=args.job_timeout,
             inject_faults=args.inject_faults,
@@ -327,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
+    machine = request.build_machine()
     sinks = []
     if args.progress:
         sinks.append(ProgressSink())

@@ -125,8 +125,9 @@ class LatestConfig:
     max_consecutive_failures: int = 12
 
     # ----- worker supervision (execution engine) ------------------------
-    #: wall-clock seconds one pair job may run on a pool worker before it
-    #: counts as hung and is retried on a rebuilt pool; ``None`` disables
+    #: wall-clock seconds one pair job may run before it counts as hung
+    #: and is retried on a rebuilt pool (a deadline runs the campaign on
+    #: the process pool at any worker count); ``None`` disables
     #: deadlines (the default — a pair's cost is set at run time by the
     #: RSE stopping rule, so opting in means sizing it to the host)
     job_timeout_s: float | None = None

@@ -66,7 +66,7 @@ Fault tolerance
 Dispatch is **supervised** (:class:`~repro.exec.jobs.SupervisionPolicy`,
 with the generic retry/deadline/quarantine loops living in
 :mod:`repro.exec.supervise`): a unit (one job) that crashes its
-worker, times out against its cost-model-derived deadline, or fails
+worker, times out against ``config.job_timeout_s``, or fails
 result transport is retried on a rebuilt pool with exponential
 backoff — announced as a :class:`~repro.core.stream.PairRetried` event —
 and because replica seed streams derive only from grid indices, a retry
@@ -507,16 +507,12 @@ class CampaignExecutor:
         )
 
         phase1_by_facet, probe_by_facet = self._calibrate_facets(dispatch)
-        first = facet_plan[0]
-        single_facet = facet_plan == (None,)
         payload = CampaignPayload(
             blueprint=machine.blueprint,
             config=config,
-            phase1=phase1_by_facet.get(first),
-            probe=probe_by_facet.get(first),
+            phase1_by_facet=phase1_by_facet,
+            probe_by_facet=probe_by_facet,
             epoch=machine.clock.now,
-            phase1_by_memory=None if single_facet else phase1_by_facet,
-            probe_by_memory=None if single_facet else probe_by_facet,
         )
 
         jobs, skips = self._build_jobs(phase1_by_facet)
@@ -555,6 +551,11 @@ class CampaignExecutor:
 
     def _execute(self, prep: PreparedCampaign) -> None:
         """Measure ``prep.todo`` as supervised one-job units and record them.
+
+        Units run in process when ``workers == 1`` (or there is at most
+        one job), and on a process pool otherwise.  A job deadline
+        always takes the pool, a one-process pool at ``workers == 1``,
+        since only a pool worker can be killed when it hangs.
 
         Landed results are recorded in batches of up to
         :data:`RECORD_BATCH`, one journal fsync each.  The open batch is
@@ -599,7 +600,9 @@ class CampaignExecutor:
             stack.callback(flush)
             if guard is not None:
                 stack.enter_context(guard)
-            if self.workers == 1 or len(jobs) <= 1:
+            if self.config.job_timeout_s is None and (
+                self.workers == 1 or len(jobs) <= 1
+            ):
                 self.measure_units(
                     prep, [[job] for job in jobs], guard, on_result, on_retry
                 )

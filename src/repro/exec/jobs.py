@@ -131,35 +131,23 @@ class CampaignPayload:
     """Per-campaign state shared by every pair job of one executor run.
 
     Shipped to each worker process exactly once through the pool
-    initializer; the in-process path passes it by reference.  ``phase1``
-    and ``probe`` are the legacy (or first-facet) inputs; core×memory
-    campaigns additionally carry one phase-1/probe per memory clock.
+    initializer; the in-process path passes it by reference.
     """
 
     blueprint: MachineBlueprint
     config: LatestConfig
-    phase1: Phase1Result
-    probe: ProbeInfo
+    #: phase-1 result of every prepared facet, keyed by the facet
+    #: coordinate (memory clock of a core×memory grid, locked SM clock of
+    #: a multi-facet swept-axis sweep, ``None`` for a single-facet
+    #: campaign)
+    phase1_by_facet: dict[float | None, Phase1Result]
+    #: probe estimates of every prepared facet, keyed like
+    #: ``phase1_by_facet``
+    probe_by_facet: dict[float | None, ProbeInfo]
     #: virtual time at which every pair machine starts (the driver clock
     #: right after phase 1 + probe) — common to all jobs so results do not
     #: depend on scheduling
     epoch: float
-    #: per-facet phase-1 results of a faceted campaign, keyed by the facet
-    #: coordinate (memory clock of a core×memory grid, locked SM clock of
-    #: a multi-facet swept-axis sweep)
-    phase1_by_memory: "dict | None" = None
-    #: per-facet probe estimates of a faceted campaign
-    probe_by_memory: "dict | None" = None
-
-    def phase1_for(self, facet: float | None) -> Phase1Result:
-        if facet is None or self.phase1_by_memory is None:
-            return self.phase1
-        return self.phase1_by_memory[facet]
-
-    def probe_for(self, facet: float | None) -> ProbeInfo:
-        if facet is None or self.probe_by_memory is None:
-            return self.probe
-        return self.probe_by_memory[facet]
 
 
 @dataclass(frozen=True)
@@ -212,7 +200,8 @@ class SupervisionPolicy:
     :class:`~repro.core.config.LatestConfig`; shared by the in-process
     and process-pool dispatch paths.  ``timeout_s`` is the wall-clock
     deadline of one dispatched unit (``None`` disables deadlines); only
-    the process-pool path can enforce it.  Retries are bounded: a unit
+    the process-pool path can enforce it, so the engine dispatches every
+    campaign with a deadline on the pool.  Retries are bounded: a unit
     that fails more than ``max_retries`` times is quarantined — its pairs
     become recorded skip reasons instead of aborting the campaign.
     """

@@ -124,7 +124,7 @@ def run_units_inprocess(
     measure,
     on_retry=None,
 ) -> list[PairJobResult]:
-    """Supervised in-process execution (``workers == 1``).
+    """Supervised in-process execution (``workers == 1``, no deadline).
 
     ``measure(jobs)`` is the caller's measurement callable (fault hooks
     included).  Shares the driver process, so supervision covers
@@ -179,8 +179,8 @@ def run_units_pool(
 
     ``fn`` is the worker unit entry point and ``initializer(*initargs)``
     installs per-process shared state (the campaign payload).  Each round
-    submits every outstanding unit in order; once a unit runs, it has
-    ``policy.timeout_s`` wall seconds.  A crashed pool
+    submits every outstanding unit in order; once a worker takes a unit,
+    it has ``policy.timeout_s`` wall seconds.  A crashed pool
     (``BrokenProcessPool``) or an expired deadline tears the round's pool
     down and re-dispatches the survivors on a fresh one; units that keep failing past
     ``policy.max_retries`` are quarantined.  A shutdown signal stops
@@ -216,8 +216,9 @@ def run_units_pool(
             time.sleep(backoff)
         retry: list[UnitState] = []
         requeue: list[UnitState] = []
+        slots = min(workers, len(todo))
         pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(todo)),
+            max_workers=slots,
             mp_context=mp_context(),
             initializer=initializer,
             initargs=initargs,
@@ -266,13 +267,21 @@ def run_units_pool(
                     break
                 now = time.monotonic()
                 if policy.timeout_s is not None:
-                    # A unit's clock starts when the pool marks it
-                    # running (moved to the worker call queue), not at
-                    # submission: a long backlog must not eat the
-                    # deadline of the units queued behind it.
-                    for future in remaining:
+                    # A unit's clock starts when a worker takes it, not
+                    # at submission: a long backlog must not eat the
+                    # deadline of the units queued behind it.  The pool
+                    # also marks the calls it queues ahead of its
+                    # workers as running, but workers take calls in
+                    # submission order, so only the first ``slots``
+                    # running, unfinished units can be on a worker.
+                    on_worker = [
+                        future
+                        for future in future_of
+                        if future in remaining and future.running()
+                    ][:slots]
+                    for future in on_worker:
                         state = future_of[future]
-                        if state.deadline is None and future.running():
+                        if state.deadline is None:
                             state.deadline = now + policy.timeout_s
                 expired = {
                     future

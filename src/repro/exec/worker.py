@@ -192,8 +192,8 @@ def run_pair_job(
             bench,
             job.init_mhz,
             job.target_mhz,
-            payload.phase1_for(job.facet),
-            payload.probe_for(job.facet),
+            payload.phase1_by_facet[job.facet],
+            payload.probe_by_facet[job.facet],
         )
     pair.memory_mhz = job.memory_mhz
     pair.locked_sm_mhz = job.locked_sm_mhz

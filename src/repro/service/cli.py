@@ -18,10 +18,11 @@ flag reference and ``docs/service.md`` for semantics):
 ``repro cancel``
     Cancel a campaign; prints whether it was cancelled.
 
-The measurement flags of ``repro submit`` mirror ``latest-bench``
-(same names, same semantics); the service always executes through the
-engine tier, so results are bit-identical to ``latest-bench
---workers 1`` with the same parameters.
+``repro submit`` takes the campaign flags of ``latest-bench``
+(:func:`repro.cli.add_campaign_arguments`) and builds its request with
+the same :func:`repro.cli.campaign_request`; the service always
+executes through the engine tier, so results are bit-identical to
+``latest-bench --workers 1`` with the same parameters.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ import json
 import signal
 import sys
 
-from repro.cli import parse_frequencies
+from repro.cli import add_campaign_arguments, campaign_request
 from repro.errors import ReproError
 from repro.service.client import SocketClient
-from repro.service.requests import CampaignRequest
 from repro.service.server import ServiceServer
 from repro.service.service import CampaignService
 
@@ -100,29 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one campaign to a running service"
     )
     _add_socket(submit)
-    submit.add_argument(
-        "frequencies",
-        help="comma-separated swept-axis values (SM MHz by default, "
-        "memory MHz with --axis memory, W with --axis power)",
-    )
-    submit.add_argument(
-        "--axis",
-        choices=("sm", "memory", "power"),
-        default="sm",
-        help="actuator to sweep (default sm)",
-    )
-    submit.add_argument(
-        "--locked-sm",
-        default=None,
-        metavar="MHZ[,MHZ...]",
-        help="locked SM clock(s) for memory/power-axis campaigns",
-    )
-    submit.add_argument(
-        "--memory-frequencies",
-        default=None,
-        metavar="LIST",
-        help="memory clocks for a core×memory grid (--axis sm only)",
-    )
+    add_campaign_arguments(submit)
     submit.add_argument(
         "--tenant",
         default="default",
@@ -133,52 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="tenant fair-share weight (default 1.0)",
-    )
-    submit.add_argument(
-        "--gpu-model",
-        default="A100",
-        help="A100 | GH200 | RTX6000 (default A100)",
-    )
-    submit.add_argument(
-        "--n-gpus", type=int, default=1, help="GPUs on the simulated node"
-    )
-    submit.add_argument(
-        "--seed", type=int, default=0, help="simulation seed"
-    )
-    submit.add_argument(
-        "--hostname", default="simnode01", help="simulated hostname"
-    )
-    submit.add_argument(
-        "--device", type=int, default=0, help="GPU index (default 0)"
-    )
-    submit.add_argument(
-        "--sm-count",
-        type=int,
-        default=None,
-        help="SMs recorded by the benchmark kernel (default: all)",
-    )
-    submit.add_argument(
-        "--rse",
-        type=float,
-        default=0.05,
-        help="relative standard error stop threshold (default 0.05)",
-    )
-    submit.add_argument(
-        "--min-measurements",
-        type=int,
-        default=25,
-        help="measurements collected before RSE checks start",
-    )
-    submit.add_argument(
-        "--max-measurements",
-        type=int,
-        default=200,
-        help="hard per-pair measurement cap",
-    )
-    submit.add_argument(
-        "--output-dir",
-        default=None,
-        help="directory the service writes the campaign's CSVs to",
     )
     submit.add_argument(
         "--wait",
@@ -208,48 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _request_from_args(args: argparse.Namespace) -> CampaignRequest:
-    """Mirror the latest-bench axis/frequency mapping into a request."""
-    axis = {"sm": "sm_core", "memory": "memory", "power": "power"}[args.axis]
-    label = {
-        "sm_core": "frequency",
-        "memory": "memory frequency",
-        "power": "power limit",
-    }[axis]
-    freqs = parse_frequencies(args.frequencies, label=label)
-    if args.locked_sm is not None and axis == "sm_core":
-        raise SystemExit("--locked-sm only applies to --axis memory/power")
-    if args.memory_frequencies is not None and axis != "sm_core":
-        raise SystemExit("--memory-frequencies only applies to --axis sm")
-    config: dict = {"frequencies": list(freqs), "axis": axis}
-    if args.locked_sm is not None:
-        plan = parse_frequencies(args.locked_sm, minimum=1, label="locked-SM")
-        config["locked_sm_mhz"] = plan[0] if len(plan) == 1 else list(plan)
-    if args.memory_frequencies is not None:
-        config["memory_frequencies"] = list(
-            parse_frequencies(
-                args.memory_frequencies, minimum=1, label="memory frequency"
-            )
-        )
-    config["device_index"] = args.device
-    config["rse_threshold"] = args.rse
-    config["min_measurements"] = args.min_measurements
-    config["max_measurements"] = args.max_measurements
-    if args.sm_count is not None:
-        config["record_sm_count"] = args.sm_count
-    if args.output_dir is not None:
-        config["output_dir"] = args.output_dir
-    return CampaignRequest(
-        tenant=args.tenant,
-        weight=args.weight,
-        gpu_model=args.gpu_model,
-        n_gpus=args.n_gpus,
-        seed=args.seed,
-        hostname=args.hostname,
-        config=config,
-    )
-
-
 async def _serve(args: argparse.Namespace) -> int:
     service = CampaignService(
         fleet_size=args.fleet,
@@ -276,7 +166,9 @@ async def _serve(args: argparse.Namespace) -> int:
 
 async def _submit(args: argparse.Namespace) -> int:
     client = SocketClient(args.socket)
-    campaign_id = await client.submit(_request_from_args(args))
+    campaign_id = await client.submit(
+        campaign_request(args, tenant=args.tenant, weight=args.weight)
+    )
     print(campaign_id)
     if not args.wait:
         return 0

@@ -50,9 +50,10 @@ class CampaignRequest:
 
     ``config`` holds :class:`~repro.core.config.LatestConfig` keyword
     overrides exactly as a caller would pass them to the constructor;
-    unknown keys and non-JSON-serializable fields
-    (``outlier_config``, ``ptp_link``) are rejected at construction so a
-    bad request fails at submit time, not mid-campaign.
+    unknown keys, non-JSON-serializable fields (``outlier_config``,
+    ``ptp_link``) and ``job_timeout_s`` (no deadline can pre-empt a
+    fleet thread) are rejected at construction so a bad request fails
+    at submit time, not mid-campaign.
     """
 
     #: fair-share queue the campaign bills against
@@ -84,10 +85,16 @@ class CampaignRequest:
                 f"config fields {sorted(banned)} are not JSON-serializable "
                 "and cannot be set through a service request"
             )
+        if "job_timeout_s" in self.config:
+            raise ConfigError(
+                "job_timeout_s cannot be set through a service request: "
+                "shards run on fleet threads, which a deadline cannot "
+                "pre-empt"
+            )
 
     # ------------------------------------------------------------------
     def build_machine(self) -> Machine:
-        """Fresh machine from the recipe (same build as the CLI path)."""
+        """Fresh machine from the recipe."""
         return make_machine(
             gpu_model=self.gpu_model,
             n_gpus=self.n_gpus,
@@ -98,10 +105,11 @@ class CampaignRequest:
     def build_config(self, **overrides) -> LatestConfig:
         """The campaign config, sequences normalized to tuples.
 
-        ``overrides`` are service-side settings (the shared
-        ``calibration_cache``, usually) layered on top of the request's
-        own config — the request wins on conflict so a tenant can
-        explicitly opt out of the shared cache.
+        ``overrides`` are the caller's own settings (the service's
+        shared ``calibration_cache``; ``latest-bench``'s execution and
+        kernel flags) layered under the request's config — the request
+        wins on conflict so a tenant can explicitly opt out of the
+        shared cache.
         """
         kwargs = dict(overrides)
         kwargs.update(self.config)

@@ -34,6 +34,7 @@ visits.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -137,9 +138,16 @@ class DeficitRoundRobin:
         Starvation-free: a queue whose head shard exceeds its deficit
         rotates to the back with the deficit *kept*, and every revisit
         grants another ``weight`` — the head fits after at most
-        ``ceil(cost / weight)`` visits.
+        ``ceil(cost / weight)`` visits.  When a whole pass over the ring
+        dispatches nothing, the rounds that cannot dispatch either are
+        credited in one step (:meth:`_skip_rounds`), so a call costs
+        O(queues) however small the weights.
         """
+        misses = 0
         while self._ring:
+            if misses >= len(self._ring):
+                self._skip_rounds()
+                misses = 0
             key = self._ring[0]
             queue = self._queues[key]
             if not queue.items:  # emptied by remove/drain bookkeeping
@@ -162,7 +170,28 @@ class DeficitRoundRobin:
                 return shard
             self._ring.rotate(-1)
             queue.credited = False
+            misses += 1
         return None
+
+    def _skip_rounds(self) -> None:
+        """Credit every ring queue for the rounds in which none can fit.
+
+        Called after a full pass that dispatched nothing, so every ring
+        queue is uncredited and short of its head shard.  The first
+        queue fits in round ``min(ceil((cost - deficit) / weight))``;
+        the rounds before it are granted here at once.  Float division
+        never rounds that count up past the true value, so this never
+        skips a round in which a queue would have fit; with dyadic
+        weights the credit equals the per-visit sums exactly.
+        """
+        queues = [self._queues[key] for key in self._ring]
+        rounds = min(
+            math.ceil((q.items[0].cost - q.deficit) / q.weight)
+            for q in queues
+        ) - 1
+        if rounds > 0:
+            for queue in queues:
+                queue.deficit += rounds * queue.weight
 
 
 class WorkerFleet:

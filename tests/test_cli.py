@@ -1,8 +1,14 @@
-"""Tests for the latest-bench CLI."""
+"""Tests for the latest-bench CLI and the campaign flags it shares."""
+
+import re
 
 import pytest
 
-from repro.cli import build_parser, main, parse_frequencies
+import repro.cli
+from repro.cli import build_parser, campaign_request, main, parse_frequencies
+from repro.errors import ReproError
+from repro.service.cli import build_parser as repro_parser
+from repro.service.requests import CampaignRequest
 
 
 class TestArgumentParsing:
@@ -136,8 +142,8 @@ class TestMain:
         out_dir = tmp_path / "csv"
         code = main(
             [
+                "400,330",
                 "--axis", "power",
-                "--power-limits", "400,330",
                 "--sm-count", "4",
                 "--min-measurements", "4",
                 "--max-measurements", "6",
@@ -173,14 +179,6 @@ class TestMain:
     def test_power_axis_needs_a_ladder(self):
         with pytest.raises(SystemExit):
             main(["--axis", "power"])
-
-    def test_power_axis_rejects_both_ladder_sources(self):
-        with pytest.raises(SystemExit):
-            main(["400,330", "--axis", "power", "--power-limits", "400,330"])
-
-    def test_power_limits_require_power_axis(self):
-        with pytest.raises(SystemExit):
-            main(["705,1410", "--power-limits", "400,330"])
 
     def test_missing_frequency_list_exits(self):
         with pytest.raises(SystemExit):
@@ -285,3 +283,87 @@ class TestMain:
     def test_non_positive_job_timeout_exits(self, seconds):
         with pytest.raises(SystemExit, match="job_timeout_s"):
             main(["705,1410", "--quiet", "--job-timeout", seconds])
+
+    def test_hung_job_is_retried_at_one_worker(self, tmp_path, capsys):
+        argv = [
+            "705,1410",
+            "--sm-count", "4",
+            "--min-measurements", "4",
+            "--max-measurements", "6",
+            "--seed", "3",
+            "--quiet",
+            "--progress",
+            "--workers", "1",
+        ]
+        clean, hung = tmp_path / "clean", tmp_path / "hung"
+        assert main(argv + ["--output-dir", str(clean)]) == 0
+        capsys.readouterr()
+        code = main(
+            argv
+            + [
+                "--output-dir", str(hung),
+                "--inject-faults", "hang@0:4",
+                "--job-timeout", "1.5",
+            ]
+        )
+        assert code == 0
+        retried = re.findall(r"(\d+) retried", capsys.readouterr().err)
+        assert int(retried[-1]) >= 1
+        csvs = {p.name: p.read_bytes() for p in sorted(clean.glob("*.csv"))}
+        assert csvs
+        assert {p.name: p.read_bytes() for p in sorted(hung.glob("*.csv"))} == csvs
+
+
+def _bench_campaign(monkeypatch, argv):
+    """The (machine, config) ``latest-bench argv`` would run."""
+    seen = []
+
+    def capture(machine, config, **kwargs):
+        seen.append((machine, config))
+        raise ReproError("captured")
+
+    monkeypatch.setattr(repro.cli, "run_campaign", capture)
+    assert main(argv) == 1
+    return seen[0]
+
+
+class TestSharedCampaignFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["705,1095,1410"],
+            [
+                "705,1410",
+                "--memory-frequencies", "1215,810",
+                "--sm-count", "4",
+                "--seed", "3",
+            ],
+            ["1215,810", "--axis", "memory", "--locked-sm", "1095"],
+            [
+                "1215,810",
+                "--axis", "memory",
+                "--locked-sm", "1410,810",
+                "--rse", "0.1",
+                "--min-measurements", "5",
+                "--max-measurements", "9",
+            ],
+            [
+                "700,560",
+                "--axis", "power",
+                "--gpu-model", "GH200",
+                "--n-gpus", "2",
+                "--device", "1",
+                "--hostname", "node7",
+                "--output-dir", "out",
+            ],
+        ],
+    )
+    def test_submit_sends_the_campaign_latest_bench_runs(
+        self, monkeypatch, argv
+    ):
+        machine, config = _bench_campaign(monkeypatch, argv)
+        args = repro_parser().parse_args(["submit", *argv])
+        sent = campaign_request(args, tenant=args.tenant, weight=args.weight)
+        received = CampaignRequest.from_json(sent.to_json())
+        assert received.build_config() == config
+        assert received.build_machine().blueprint == machine.blueprint

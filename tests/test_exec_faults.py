@@ -32,6 +32,13 @@ def _slow_unit(jobs):
     return []
 
 
+def _hang_first_unit(jobs):
+    """Pool entry point: job 0 hangs on its first attempt, others nap."""
+    job = jobs[0]
+    time.sleep(30.0 if (job.index, job.attempt) == (0, 0) else 0.05)
+    return []
+
+
 def _fault_config(**overrides):
     defaults = dict(retry_backoff_s=0.01, retry_backoff_max_s=0.05)
     defaults.update(overrides)
@@ -153,6 +160,29 @@ class TestEngineRecovery:
         )
         assert retried == []
         assert len(landed) == 8
+
+    def test_deadline_blames_only_the_hung_unit(self):
+        # One worker: the pool marks units 1 and 2 running while they
+        # wait behind the hung unit 0, but only unit 0 may time out.
+        landed, retried = [], []
+        run_units_pool(
+            [
+                [PairJob(index=i, init_mhz=705.0, target_mhz=1410.0)]
+                for i in range(4)
+            ],
+            SupervisionPolicy(timeout_s=0.5, max_retries=1, backoff_s=0.0),
+            None,
+            landed.append,
+            workers=1,
+            fn=_hang_first_unit,
+            initializer=None,
+            initargs=(),
+            on_retry=lambda unit, attempt, cause: retried.append(
+                (unit[0].index, cause)
+            ),
+        )
+        assert retried == [(0, "job-timeout")]
+        assert len(landed) == 4
 
     def test_persistent_failure_quarantined(self):
         machine = make_machine("A100", seed=777)

@@ -552,6 +552,11 @@ class TestRequestValidation:
         with pytest.raises(ConfigError, match="ptp_link"):
             CampaignRequest(config={"ptp_link": None})
 
+    def test_job_deadline_refused_at_submit_time(self):
+        # Shards run on fleet threads, which no deadline can pre-empt.
+        with pytest.raises(ConfigError, match="job_timeout_s"):
+            CampaignRequest(config={"job_timeout_s": 1.0})
+
     def test_tenant_and_weight_validated(self):
         with pytest.raises(ConfigError, match="tenant"):
             CampaignRequest(tenant="")

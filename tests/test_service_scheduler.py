@@ -11,6 +11,7 @@ a private loop per test via ``asyncio.run``.
 
 import asyncio
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,40 @@ def _drain(drr):
         if shard is None:
             return order
         order.append(shard)
+
+
+class _PerVisitDrr(DeficitRoundRobin):
+    """Reference DRR: one ``weight`` of credit per visit, no skipping."""
+
+    def next(self):
+        while self._ring:
+            key = self._ring[0]
+            queue = self._queues[key]
+            if not queue.items:
+                self._ring.popleft()
+                queue.deficit = 0.0
+                queue.credited = False
+                continue
+            if not queue.credited:
+                queue.deficit += queue.weight
+                queue.credited = True
+            if queue.items[0].cost <= queue.deficit:
+                shard = queue.items.popleft()
+                queue.deficit -= shard.cost
+                if not queue.items:
+                    self._ring.popleft()
+                    queue.deficit = 0.0
+                    queue.credited = False
+                return shard
+            self._ring.rotate(-1)
+            queue.credited = False
+        return None
+
+
+#: weights whose products and sums with half-integer costs are exact
+DYADIC_WEIGHTS = st.sampled_from(
+    [2.0**-10, 2.0**-4, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
+)
 
 
 class TestDeficitRoundRobin:
@@ -186,6 +221,60 @@ class TestDeficitRoundRobin:
         for key in {s.queue for s in pushed}:
             dispatched = [s.seq for s in order if s.queue == key]
             assert dispatched == sorted(dispatched)
+
+
+    def test_tiny_weight_dispatches_without_spinning(self):
+        drr = DeficitRoundRobin()
+        drr.add_queue("a", weight=1e-6)
+        drr.push(Shard(queue="a", cost=4, seq=0))
+        started = time.perf_counter()
+        shard = drr.next()
+        assert time.perf_counter() - started < 0.010
+        assert shard.seq == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(DYADIC_WEIGHTS, min_size=1, max_size=4),
+        bursts=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=3),
+                        st.integers(min_value=1, max_value=16),
+                    ),
+                    max_size=6,
+                ),
+                st.integers(min_value=0, max_value=4),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_skip_ahead_keeps_the_per_visit_order(self, weights, bursts):
+        # Each burst pushes shards (queue, cost in half pairs), then
+        # calls next() a few times; a final drain empties both.
+        fast, slow = DeficitRoundRobin(), _PerVisitDrr()
+        for drr in (fast, slow):
+            for i, weight in enumerate(weights):
+                drr.add_queue(f"q{i}", weight=weight)
+        got, want, seq = [], [], 0
+        for pushes, calls in bursts:
+            for qi, halves in pushes:
+                seq += 1
+                for drr in (fast, slow):
+                    drr.push(
+                        Shard(
+                            queue=f"q{qi % len(weights)}",
+                            cost=halves / 2,
+                            seq=seq,
+                        )
+                    )
+            for _ in range(calls):
+                for drr, order in ((fast, got), (slow, want)):
+                    shard = drr.next()
+                    order.append(None if shard is None else shard.seq)
+        got += [s.seq for s in _drain(fast)]
+        want += [s.seq for s in _drain(slow)]
+        assert got == want
 
 
 class TestFairShareScheduler:
