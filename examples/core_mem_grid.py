@@ -40,14 +40,15 @@ def main() -> None:
         min_measurements=10,
         max_measurements=25,
         rse_check_every=5,
-        output_dir="campaign_output_mem",
     )
     print(
         f"running {len(config.pairs())} SM pairs x "
         f"{len(memory_clocks)} memory clocks on simulated {spec.name}"
         + (f" with {workers} workers ..." if workers > 1 else " ...")
     )
-    result = run_campaign(machine, config, workers=workers)
+    result = run_campaign(
+        machine, config, workers=workers, output_dir="campaign_output_mem"
+    )
 
     for grid in heatmaps_by_memory(result, "max").values():
         print()

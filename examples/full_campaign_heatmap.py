@@ -36,13 +36,12 @@ def main() -> None:
         min_measurements=12,
         max_measurements=30,
         rse_check_every=4,
-        output_dir="campaign_output",
     )
     print(
         f"running {len(config.pairs())} frequency pairs on simulated "
         f"{spec.name} ..."
     )
-    result = run_campaign(machine, config)
+    result = run_campaign(machine, config, output_dir="campaign_output")
 
     print()
     print(render_heatmap(heatmap_from_campaign(result, "min")))

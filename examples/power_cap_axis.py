@@ -36,14 +36,15 @@ def main() -> None:
         min_measurements=10,
         max_measurements=25,
         rse_check_every=5,
-        output_dir="campaign_output_power",
     )
     print(
         f"running {len(config.pairs())} power-limit pairs "
         f"({', '.join(f'{w:g}' for w in limits)} W) on simulated {spec.name}"
         + (f" with {workers} workers ..." if workers > 1 else " ...")
     )
-    result = run_campaign(machine, config, workers=workers)
+    result = run_campaign(
+        machine, config, workers=workers, output_dir="campaign_output_power"
+    )
 
     print(
         f"\nSM clock locked at {result.locked_sm_mhz:g} MHz; each limit "

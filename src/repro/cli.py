@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.analysis.heatmap import heatmaps_by_memory
 from repro.analysis.render import (
@@ -28,6 +29,7 @@ from repro.analysis.summary import summarize_campaign
 from repro.core.stream import FacetPrepared, ProgressSink, RecordingSink
 from repro.errors import CampaignInterrupted, ReproError
 from repro.exec.engine import run_campaign
+from repro.exec.jobs import SupervisionPolicy
 from repro.service.requests import CampaignRequest
 
 __all__ = ["add_campaign_arguments", "build_parser", "campaign_request", "main"]
@@ -105,7 +107,10 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--output-dir",
         default=None,
-        help="directory for the per-pair CSV files",
+        help="directory for the per-pair CSV files, each written as its "
+        "result lands (with --journal, once the journal has fsync'd it); "
+        "an interrupted campaign keeps every pair CSV written so far and "
+        "a summary ending in '# interrupted'",
     )
     sim = parser.add_argument_group("simulated environment")
     sim.add_argument(
@@ -231,16 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "event stream: pairs done against the grid total, with "
         "measured/replayed/skipped/retried counts as events land",
     )
-    parser.add_argument(
-        "--stream-csv",
-        default=None,
-        metavar="DIR",
-        help="write each pair's CSV to DIR as its result lands on the "
-        "campaign event stream (with --journal, once the journal has "
-        "fsync'd it; instead of after the campaign); the "
-        "final files are byte-identical to the --output-dir batch writer, "
-        "and an interrupted campaign keeps every pair CSV written so far",
-    )
     return parser
 
 
@@ -272,8 +267,7 @@ def campaign_request(
     """The campaign the :func:`add_campaign_arguments` flags describe.
 
     ``request_fields`` are the request's tenancy fields (``tenant``,
-    ``weight``); settings outside the shared flag set are layered on by
-    the caller through :meth:`CampaignRequest.build_config` overrides.
+    ``weight``); ``--output-dir`` becomes the request's ``output_dir``.
     Malformed lists and flags that do not apply to the chosen axis exit
     with a :class:`SystemExit`.
     """
@@ -313,8 +307,8 @@ def campaign_request(
             "min_measurements": args.min_measurements,
             "max_measurements": args.max_measurements,
             "record_sm_count": args.sm_count,
-            "output_dir": args.output_dir,
         },
+        output_dir=args.output_dir,
         **request_fields,
     )
 
@@ -325,12 +319,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.journal is None:
         raise SystemExit("--resume needs --journal DIR")
     try:
-        config = request.build_config(
+        config = replace(
+            request.build_config(),
             kernel_memory_intensity=args.kernel_memory_intensity,
-            max_job_retries=args.max_job_retries,
+        )
+        policy = SupervisionPolicy(
             job_timeout_s=args.job_timeout,
+            max_job_retries=args.max_job_retries,
             inject_faults=args.inject_faults,
-            calibration_cache=args.calibration_cache,
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
@@ -338,10 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     sinks = []
     if args.progress:
         sinks.append(ProgressSink())
-    if args.stream_csv:
-        from repro.core.csvio import CsvStreamSink
-
-        sinks.append(CsvStreamSink(args.stream_csv))
     recorder = None
     if args.calibration_cache is not None:
         recorder = RecordingSink()
@@ -354,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
             journal=args.journal,
             resume=args.resume,
             sinks=tuple(sinks),
+            policy=policy,
+            calibration_cache=args.calibration_cache,
+            output_dir=request.output_dir,
         )
     except CampaignInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
@@ -441,8 +436,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\nreport written to {path}")
     if args.output_dir:
         print(f"\nCSV files written to {args.output_dir}")
-    if args.stream_csv:
-        print(f"\nstreamed CSV files written to {args.stream_csv}")
     return 0
 
 

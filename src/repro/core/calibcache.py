@@ -17,9 +17,11 @@ Every engine campaign calibrates each facet on a blueprint replica
 ``(blueprint, config, facet_index, facet, start_time)``.
 :func:`calibration_fingerprint` is the canonical content digest
 (:mod:`repro.core.fingerprint`) of exactly those inputs, minus the
-config fields phase 1 and the probe never read: the execution-only
-fields plus the per-pair measurement knobs (stopping rule, per-pair
-window policy, per-pair resilience, outlier labelling).  So worker-count
+config fields phase 1 and the probe never read: the per-pair
+measurement knobs (stopping rule, per-pair window policy, per-pair
+resilience, outlier labelling).  Execution settings (worker count,
+supervision policy, journal, CSV output, the cache directory itself) are
+not config fields, so they never reach the key.  So worker-count
 changes, journal resumes and phase-2/3 tuning all still hit, and a
 reused machine mid-timeline simply keys under its later start time.
 
@@ -47,11 +49,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.fingerprint import (
-    EXECUTION_ONLY_FIELDS,
-    config_fields,
-    content_digest,
-)
+from repro.core.fingerprint import config_fields, content_digest
 from repro.core.journal import _FRAME
 
 __all__ = [
@@ -65,14 +63,13 @@ __all__ = [
 #: 2 = replica-only calibration keyed by its start time)
 CALIB_CACHE_VERSION = 2
 
-#: config fields that cannot affect the phase-1 characterization, the
-#: probe window-sizing stage, or the fixed per-pass duration: the
-#: execution-only fields plus the knobs only the per-pair phase-2/3
+#: config fields that cannot affect the phase-1 characterization or the
+#: probe window-sizing stage: the knobs only the per-pair phase-2/3
 #: measurement loop reads.  Everything else — frequencies, axis, facet
 #: coordinates, workload sizing, the detection criterion the probe
 #: evaluates switches with, settle and timer-sync parameters — stays in
 #: the key.
-_CALIBRATION_EXCLUDED = EXECUTION_ONLY_FIELDS | frozenset(
+_CALIBRATION_EXCLUDED = frozenset(
     {
         # per-pair RSE stopping rule (phase 2/3 only)
         "rse_threshold",

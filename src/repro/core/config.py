@@ -4,7 +4,9 @@ The mandatory argument is the comma-separated benchmark frequency list; the
 optional arguments reproduced here are the device index, the RSE threshold
 (default 5 %), and the minimum/maximum switching-latency measurement
 counts.  Everything else parameterizes the methodology internals with the
-paper's defaults.
+paper's defaults.  Every field can change a result; how a campaign runs
+(workers, journal, supervision, CSV output, calibration cache) is set on
+the executor (:mod:`repro.exec.engine`), not here.
 """
 
 from __future__ import annotations
@@ -124,38 +126,8 @@ class LatestConfig:
     #: consecutive evaluation failures before the pair is abandoned
     max_consecutive_failures: int = 12
 
-    # ----- worker supervision (execution engine) ------------------------
-    #: wall-clock seconds one pair job may run before it counts as hung
-    #: and is retried on a rebuilt pool (a deadline runs the campaign on
-    #: the process pool at any worker count); ``None`` disables
-    #: deadlines (the default — a pair's cost is set at run time by the
-    #: RSE stopping rule, so opting in means sizing it to the host)
-    job_timeout_s: float | None = None
-    #: times a crashed/timed-out/transport-failed job is retried before
-    #: its pair is quarantined (recorded as a skip reason instead of
-    #: aborting the campaign); retries are bit-identical by the engine's
-    #: determinism contract, so a transient fault loses nothing
-    max_job_retries: int = 2
-    #: exponential-backoff base between retries of the same unit
-    #: (``base * 2**(attempt-1)``, capped), in real seconds
-    retry_backoff_s: float = 0.25
-    retry_backoff_max_s: float = 10.0
-    #: deterministic fault-injection spec for the recovery test harness
-    #: (:mod:`repro.exec.faults`); ``None`` (production) injects nothing
-    inject_faults: str | None = None
-
     # ----- outlier filtering (Algorithm 3) ------------------------------
     outlier_config: AdaptiveDbscanConfig = field(default_factory=AdaptiveDbscanConfig)
-
-    # ----- output --------------------------------------------------------
-    output_dir: str | None = None
-
-    #: directory of the persistent per-facet calibration cache
-    #: (:mod:`repro.core.calibcache`): phase-1 characterizations and probe
-    #: window estimates are stored content-addressed so repeat campaigns
-    #: skip straight to phase 2/3, bit-identically.  ``None`` (the
-    #: default) disables caching.
-    calibration_cache: str | None = None
 
     def __post_init__(self) -> None:
         axis_by_name(self.axis)  # validates the axis name
@@ -221,19 +193,6 @@ class LatestConfig:
             raise ConfigError("max_measurements below min_measurements")
         if self.delay_iterations < 1 or self.confirm_iterations < 1:
             raise ConfigError("delay/confirm iteration counts must be >= 1")
-        if self.job_timeout_s is not None and not self.job_timeout_s > 0:
-            raise ConfigError("job_timeout_s must be positive (or None)")
-        if self.max_job_retries < 0:
-            raise ConfigError("max_job_retries must be >= 0")
-        if self.retry_backoff_s < 0 or self.retry_backoff_max_s < 0:
-            raise ConfigError("retry backoff times must be >= 0")
-        if self.inject_faults is not None:
-            # Parse eagerly so a malformed spec fails at configuration
-            # time, not inside a worker process.  Imported lazily: the
-            # exec package imports core at module load.
-            from repro.exec.faults import FaultPlan
-
-            FaultPlan.parse(self.inject_faults)
 
     # ------------------------------------------------------------------
     def swept_axis(self) -> MeasurementAxis:

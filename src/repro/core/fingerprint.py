@@ -11,12 +11,13 @@ sequences and mappings to tagged tuples, and leaves to ``repr`` (exact
 for floats).  Two structurally equal inputs always produce the same
 digest, in any process and after any history.
 
-:data:`EXECUTION_ONLY_FIELDS` names the config fields that provably
-cannot change a measurement — output location, fault injection,
-supervision knobs and the calibration cache location.  The executor's
-bit-identity contract guarantees they only change scheduling, so every
-content key leaves them out and a resumed or cached campaign may
-legitimately vary them.
+Every :class:`~repro.core.config.LatestConfig` field can change a
+result: the settings that only decide how a campaign runs (workers,
+journal, supervision policy, CSV output, calibration cache location) are
+executor parameters, not config fields.  So the journal key hashes every
+config field, and a resumed or cached campaign may vary any execution
+setting.  :func:`config_fields` lets the calibration key leave out the
+knobs that only phases 2 and 3 read.
 """
 
 from __future__ import annotations
@@ -25,24 +26,10 @@ import dataclasses
 import hashlib
 
 __all__ = [
-    "EXECUTION_ONLY_FIELDS",
     "canonical",
     "config_fields",
     "content_digest",
 ]
-
-#: config fields that cannot affect any measurement
-EXECUTION_ONLY_FIELDS = frozenset(
-    {
-        "output_dir",
-        "inject_faults",
-        "job_timeout_s",
-        "max_job_retries",
-        "retry_backoff_s",
-        "retry_backoff_max_s",
-        "calibration_cache",
-    }
-)
 
 
 def canonical(value):
@@ -65,7 +52,7 @@ def canonical(value):
     return repr(value)
 
 
-def config_fields(config, excluded: frozenset) -> tuple:
+def config_fields(config, excluded: frozenset = frozenset()) -> tuple:
     """``(name, value)`` for every config field not in ``excluded``."""
     return tuple(
         (f.name, getattr(config, f.name))

@@ -39,11 +39,11 @@ On-disk format
     mid-write) is detected by length/CRC and ignored on load.
 
 The fingerprint is a canonical content digest
-(:mod:`repro.core.fingerprint`) of every result-affecting configuration
-field plus the machine blueprint (architecture, seed, hostname, thermal
-setup, ...).  The execution-only fields
-(:data:`~repro.core.fingerprint.EXECUTION_ONLY_FIELDS`) are excluded so
-a resume may legitimately vary them.
+(:mod:`repro.core.fingerprint`) of every configuration field plus the
+machine blueprint (architecture, seed, hostname, thermal setup, ...).
+Execution settings — worker count, supervision policy, fault plan, CSV
+output directory, calibration cache — are executor parameters, not
+config fields, so a resume may vary them freely.
 """
 
 from __future__ import annotations
@@ -58,11 +58,7 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.fingerprint import (
-    EXECUTION_ONLY_FIELDS,
-    config_fields,
-    content_digest,
-)
+from repro.core.fingerprint import config_fields, content_digest
 from repro.errors import ConfigError, MeasurementError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,8 +89,8 @@ def campaign_fingerprint(
     """Content digest identifying a campaign's result space.
 
     Two campaigns share a fingerprint iff they are guaranteed to produce
-    bit-identical pair results for every grid index — same config (minus
-    the excluded execution-only knobs) on the same machine blueprint.
+    bit-identical pair results for every grid index — same config on the
+    same machine blueprint.
     """
     if blueprint is None:
         raise ConfigError(
@@ -103,7 +99,7 @@ def campaign_fingerprint(
         )
     return content_digest(
         JOURNAL_VERSION,
-        config_fields(config, EXECUTION_ONLY_FIELDS),
+        config_fields(config),
         blueprint,
     )
 

@@ -20,6 +20,7 @@ from repro.core.config import LatestConfig
 from repro.core.results import CampaignResult
 from repro.errors import ConfigError
 from repro.exec.engine import run_campaign
+from repro.exec.jobs import SupervisionPolicy
 from repro.machine import Machine, make_machine
 
 __all__ = ["sweep_devices", "sweep_models"]
@@ -29,13 +30,19 @@ def sweep_devices(
     machine: Machine,
     config: LatestConfig,
     device_indices: list[int] | None = None,
+    policy: "SupervisionPolicy | None" = None,
+    calibration_cache: "str | None" = None,
+    output_dir: "str | None" = None,
 ) -> list[CampaignResult]:
     """Run the same campaign on several GPUs of one machine.
 
-    Each device gets a config copy with its own ``device_index`` (and its
-    own output directory suffix when CSV output is enabled); results come
-    back in index order, ready for
-    :func:`repro.analysis.variability.variability_report`.
+    Each device gets a config copy with its own ``device_index``; results
+    come back in index order, ready for
+    :func:`repro.analysis.variability.variability_report`.  ``policy``,
+    ``calibration_cache`` and ``output_dir`` are passed to every
+    campaign's :func:`~repro.exec.engine.run_campaign`.  All devices
+    write their CSVs into the one ``output_dir``: pair and summary file
+    names carry the GPU index (``..._gpu<i>.csv``), so they never collide.
 
     Every device's campaign runs against its own blueprint replica of
     the (freshly built) node, so a device's result does not depend on
@@ -50,7 +57,13 @@ def sweep_devices(
     if machine.blueprint is None:
         raise ConfigError("device sweep needs a machine built by make_machine()")
     return [
-        run_campaign(machine.blueprint.build(), replace(config, device_index=i))
+        run_campaign(
+            machine.blueprint.build(),
+            replace(config, device_index=i),
+            policy=policy,
+            calibration_cache=calibration_cache,
+            output_dir=output_dir,
+        )
         for i in device_indices
     ]
 

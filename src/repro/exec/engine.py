@@ -66,12 +66,12 @@ Fault tolerance
 Dispatch is **supervised** (:class:`~repro.exec.jobs.SupervisionPolicy`,
 with the generic retry/deadline/quarantine loops living in
 :mod:`repro.exec.supervise`): a unit (one job) that crashes its
-worker, times out against ``config.job_timeout_s``, or fails
+worker, times out against the policy's ``job_timeout_s``, or fails
 result transport is retried on a rebuilt pool with exponential
 backoff — announced as a :class:`~repro.core.stream.PairRetried` event —
 and because replica seed streams derive only from grid indices, a retry
 is *bit-identical* to an undisturbed run.  A unit that keeps failing past
-``config.max_job_retries`` is quarantined: its pairs become recorded skip
+``max_job_retries`` is quarantined: its pairs become recorded skip
 reasons (the same skip machinery phase 1 uses) instead of aborting the
 campaign.  With a journal attached
 (:class:`~repro.core.journal.CampaignJournal`, subscribed as a
@@ -110,7 +110,10 @@ from repro.core.journal import (
 from repro.core.phase1 import run_phase1  # noqa: F401
 from repro.core.config import LatestConfig
 from repro.core.context import BenchContext
-from repro.core.csvio import write_campaign_csvs
+# write_campaign_csvs is unused here since output_dir streams through
+# CsvStreamSink; kept importable as an engine attribute because
+# perfbench/spans.py wraps it by name.
+from repro.core.csvio import CsvStreamSink, write_campaign_csvs  # noqa: F401
 from repro.core.results import CampaignResult, PairResult, ResultAccumulator
 from repro.core.stream import (
     CampaignFinished,
@@ -221,8 +224,7 @@ class CampaignExecutor:
         Campaign machine built by :func:`repro.machine.make_machine` (it
         must carry a blueprint so workers can replicate it).
     config:
-        Campaign configuration; CSV output (if any) is written by the
-        driver after the merge.
+        Campaign configuration (every field can change a result).
     workers:
         Process count.  ``1`` runs the job pipeline in-process; any value
         produces the identical :class:`CampaignResult`.
@@ -244,6 +246,16 @@ class CampaignExecutor:
         carries its flat grid index, so index-keyed sinks reorder
         deterministically (the result accumulator and the journal both
         do).
+    policy:
+        The :class:`~repro.exec.jobs.SupervisionPolicy` (retries,
+        deadline, fault injection); ``None`` is the default policy.
+    calibration_cache:
+        Optional directory of the per-facet calibration cache
+        (:mod:`repro.core.calibcache`).
+    output_dir:
+        Optional CSV directory, written as results land by a
+        :class:`~repro.core.csvio.CsvStreamSink` after the journal; an
+        interrupted campaign leaves a summary ending in ``# interrupted``.
     """
 
     def __init__(
@@ -254,6 +266,9 @@ class CampaignExecutor:
         journal: "str | None" = None,
         resume: bool = False,
         sinks=(),
+        policy: "SupervisionPolicy | None" = None,
+        calibration_cache: "str | None" = None,
+        output_dir: "str | None" = None,
     ) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -273,6 +288,9 @@ class CampaignExecutor:
         self.journal_dir = None if journal is None else str(journal)
         self.resume = bool(resume)
         self.sinks = tuple(sinks)
+        self.policy = SupervisionPolicy() if policy is None else policy
+        self.calibration_cache = calibration_cache
+        self.output_dir = output_dir
 
     # ------------------------------------------------------------------
     def _build_jobs(
@@ -367,8 +385,8 @@ class CampaignExecutor:
         """Calibrate every facet and emit its ``FacetPrepared`` event.
 
         Each facet calibrates on its own replica machine (see the module
-        docs), in parallel when workers allow.  When the config names a
-        calibration cache, each facet's calibration is first looked up
+        docs), in parallel when workers allow.  With a calibration
+        cache, each facet's calibration is first looked up
         by its content fingerprint — which includes the calibration start
         time, so a reused machine mid-timeline simply keys differently —
         and, on a miss, installed after measuring.  The driver clock then
@@ -383,8 +401,8 @@ class CampaignExecutor:
         facet_plan = config.facet_plan()
         t_begin = machine.clock.now
         cache = None
-        if config.calibration_cache is not None:
-            cache = CalibrationCache(config.calibration_cache)
+        if self.calibration_cache is not None:
+            cache = CalibrationCache(self.calibration_cache)
         keys: dict[int, str] = {}
         calibrations: dict[int, FacetCalibration] = {}
         hits: set[int] = set()
@@ -452,7 +470,8 @@ class CampaignExecutor:
         The first stage of the seam (see :class:`PreparedCampaign`):
         opens the executor's journal (fingerprint-validated and loaded on
         ``resume``), builds the event stream — the result accumulator,
-        the journal sink, then :attr:`sinks` — emits ``CampaignStarted``,
+        the journal sink, the ``output_dir`` CSV sink, then
+        :attr:`sinks` — emits ``CampaignStarted``,
         runs the per-facet calibrations (``FacetPrepared``), plans the
         job grid (``PairSkipped`` for planned skips), replays journaled
         pairs as synthetic events, and returns the carrier with the
@@ -482,6 +501,9 @@ class CampaignExecutor:
         dispatch = StreamDispatcher(
             accumulator,
             JournalSink(journal) if journal is not None else None,
+            CsvStreamSink(self.output_dir)
+            if self.output_dir is not None
+            else None,
             *self.sinks,
         )
         machine, config = self.machine, self.config
@@ -513,6 +535,7 @@ class CampaignExecutor:
             phase1_by_facet=phase1_by_facet,
             probe_by_facet=probe_by_facet,
             epoch=machine.clock.now,
+            inject_faults=self.policy.inject_faults,
         )
 
         jobs, skips = self._build_jobs(phase1_by_facet)
@@ -567,7 +590,7 @@ class CampaignExecutor:
         :class:`~repro.errors.CampaignInterrupted`.
         """
         jobs = prep.todo
-        driver_plan = FaultPlan.parse(self.config.inject_faults)
+        driver_plan = FaultPlan.parse(self.policy.inject_faults)
         merged_count = prep.n_loaded
         batch: list[PairJobResult] = []
 
@@ -600,7 +623,7 @@ class CampaignExecutor:
             stack.callback(flush)
             if guard is not None:
                 stack.enter_context(guard)
-            if self.config.job_timeout_s is None and (
+            if self.policy.job_timeout_s is None and (
                 self.workers == 1 or len(jobs) <= 1
             ):
                 self.measure_units(
@@ -609,7 +632,7 @@ class CampaignExecutor:
             else:
                 run_units_pool(
                     [[job] for job in jobs],
-                    SupervisionPolicy.from_config(self.config),
+                    self.policy,
                     guard,
                     on_result,
                     workers=self.workers,
@@ -645,7 +668,7 @@ class CampaignExecutor:
         The one in-process runner: each unit (a list of jobs) fires its
         injected worker faults, then measures every job on a blueprint
         replica through the campaign's skeleton cache; retries and
-        quarantine follow ``config``'s supervision policy.  ``on_result``
+        quarantine follow the executor's supervision policy.  ``on_result``
         fires as each unit lands and ``on_retry(unit, attempt, cause)``
         before each re-dispatch; pass what they report to :meth:`record`.
         ``run`` passes one-job units; the service passes one shard per
@@ -659,7 +682,7 @@ class CampaignExecutor:
 
         return run_units_inprocess(
             units,
-            SupervisionPolicy.from_config(self.config),
+            self.policy,
             guard,
             on_result if on_result is not None else (lambda results: None),
             measure,
@@ -701,9 +724,9 @@ class CampaignExecutor:
         """Close the timeline and assemble the result (last seam stage).
 
         Sums every measured pair's virtual cost in grid-index order,
-        advances the driver clock once, emits ``CampaignFinished``, and
-        assembles the :class:`CampaignResult` from the accumulator —
-        writing CSVs when the config asks for them.
+        advances the driver clock once, emits ``CampaignFinished`` (on
+        which the ``output_dir`` sink writes the summary), and assembles
+        the :class:`CampaignResult` from the accumulator.
         """
         machine, config = self.machine, self.config
         total_elapsed = 0.0
@@ -724,10 +747,7 @@ class CampaignExecutor:
                 ),
             )
         )
-        result = prep.accumulator.result()
-        if config.output_dir is not None:
-            write_campaign_csvs(config.output_dir, result)
-        return result
+        return prep.accumulator.result()
 
     def close(self, prep: PreparedCampaign) -> None:
         """Release the campaign's journal (safe after any stage)."""
@@ -736,12 +756,7 @@ class CampaignExecutor:
 
 
 def run_campaign(
-    machine: Machine,
-    config: LatestConfig,
-    workers: int = 1,
-    journal: "str | None" = None,
-    resume: bool = False,
-    sinks=(),
+    machine: Machine, config: LatestConfig, **execution
 ) -> CampaignResult:
     """Run a campaign through the execution engine (see module docs).
 
@@ -753,19 +768,9 @@ def run_campaign(
     core×memory grid: the SM pair grid is re-characterized and measured
     once per locked memory clock.
 
-    ``journal`` names a directory for a durable
-    :class:`~repro.core.journal.CampaignJournal`; completed pairs are
-    recorded in batches of up to :data:`RECORD_BATCH`, one fsync each,
-    and SIGINT/SIGTERM become a graceful, resumable stop.  ``resume=True`` continues an interrupted campaign
-    bit-identically.  ``sinks`` attaches extra consumers to the campaign
-    event stream (:mod:`repro.core.stream`) — progress reporting,
-    incremental CSV output, service feeds.
+    ``execution`` takes the keyword parameters of
+    :class:`CampaignExecutor` (``workers``, ``journal``, ``resume``,
+    ``sinks``, ``policy``, ``calibration_cache``, ``output_dir``); none
+    of them can change a result.
     """
-    return CampaignExecutor(
-        machine,
-        config,
-        workers=workers,
-        journal=journal,
-        resume=resume,
-        sinks=sinks,
-    ).run()
+    return CampaignExecutor(machine, config, **execution).run()

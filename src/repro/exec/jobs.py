@@ -20,6 +20,8 @@ from repro.core.campaign import ProbeInfo
 from repro.core.config import LatestConfig
 from repro.core.phase1 import Phase1Result
 from repro.core.results import PairResult
+from repro.errors import ConfigError
+from repro.exec.faults import FaultPlan
 from repro.machine import MachineBlueprint
 
 __all__ = [
@@ -148,6 +150,9 @@ class CampaignPayload:
     #: right after phase 1 + probe) — common to all jobs so results do not
     #: depend on scheduling
     epoch: float
+    #: the campaign's fault-injection spec
+    #: (:attr:`SupervisionPolicy.inject_faults`), which workers fire
+    inject_faults: str | None = None
 
 
 @dataclass(frozen=True)
@@ -196,35 +201,49 @@ class PairJobResult:
 class SupervisionPolicy:
     """Driver-side recovery policy for one campaign's job dispatch.
 
-    Derived from the resilience fields of
-    :class:`~repro.core.config.LatestConfig`; shared by the in-process
-    and process-pool dispatch paths.  ``timeout_s`` is the wall-clock
-    deadline of one dispatched unit (``None`` disables deadlines); only
-    the process-pool path can enforce it, so the engine dispatches every
-    campaign with a deadline on the pool.  Retries are bounded: a unit
-    that fails more than ``max_retries`` times is quarantined — its pairs
-    become recorded skip reasons instead of aborting the campaign.
+    The execution settings a campaign runs under and that no result
+    depends on; shared by the in-process and process-pool dispatch
+    paths.  ``job_timeout_s`` is the wall-clock deadline of one
+    dispatched unit (``None`` disables deadlines); only the process-pool
+    path can enforce it, so the engine dispatches every campaign with a
+    deadline on the pool.  Retries are bounded: a unit that fails more
+    than ``max_job_retries`` times is quarantined — its pairs become
+    recorded skip reasons instead of aborting the campaign.
     """
 
-    timeout_s: float | None = None
-    max_retries: int = 2
-    backoff_s: float = 0.25
-    backoff_max_s: float = 10.0
-    #: result-poll tick of the supervised collect loops (also bounds
-    #: shutdown-signal latency)
-    poll_s: float = 0.05
+    #: wall-clock seconds one pair job may run before it counts as hung
+    #: and is retried on a rebuilt pool; ``None`` disables deadlines (the
+    #: default — a pair's cost is set at run time by the RSE stopping
+    #: rule, so opting in means sizing it to the host)
+    job_timeout_s: float | None = None
+    #: times a crashed/timed-out/transport-failed unit is retried before
+    #: its pairs are quarantined; retries are bit-identical by the
+    #: engine's determinism contract, so a transient fault loses nothing
+    max_job_retries: int = 2
+    #: exponential-backoff base between retries of the same unit
+    #: (``base * 2**(attempt-1)``, capped), in real seconds
+    retry_backoff_s: float = 0.25
+    retry_backoff_max_s: float = 10.0
+    #: deterministic fault-injection spec for the recovery test harness
+    #: (:mod:`repro.exec.faults`); ``None`` (production) injects nothing
+    inject_faults: str | None = None
 
-    @classmethod
-    def from_config(cls, config: LatestConfig) -> "SupervisionPolicy":
-        return cls(
-            timeout_s=config.job_timeout_s,
-            max_retries=config.max_job_retries,
-            backoff_s=config.retry_backoff_s,
-            backoff_max_s=config.retry_backoff_max_s,
-        )
+    def __post_init__(self) -> None:
+        if self.job_timeout_s is not None and not self.job_timeout_s > 0:
+            raise ConfigError("job_timeout_s must be positive (or None)")
+        if self.max_job_retries < 0:
+            raise ConfigError("max_job_retries must be >= 0")
+        if self.retry_backoff_s < 0 or self.retry_backoff_max_s < 0:
+            raise ConfigError("retry backoff times must be >= 0")
+        # Parse eagerly so a malformed spec fails when the policy is
+        # built, not inside a worker process.
+        FaultPlan.parse(self.inject_faults)
 
     def backoff_for(self, attempts: int) -> float:
         """Exponential backoff before re-dispatching a failed unit."""
-        if attempts <= 0 or self.backoff_s <= 0:
+        if attempts <= 0 or self.retry_backoff_s <= 0:
             return 0.0
-        return min(self.backoff_s * 2.0 ** (attempts - 1), self.backoff_max_s)
+        return min(
+            self.retry_backoff_s * 2.0 ** (attempts - 1),
+            self.retry_backoff_max_s,
+        )

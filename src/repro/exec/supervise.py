@@ -42,6 +42,10 @@ __all__ = [
     "run_units_pool",
 ]
 
+#: result-poll tick of the pool collect loop, in real seconds (also
+#: bounds shutdown-signal latency)
+POLL_S = 0.05
+
 
 def mp_context():
     """The multiprocessing context every repro process pool should use.
@@ -148,7 +152,7 @@ def run_units_inprocess(
             except Exception as exc:
                 attempts += 1
                 cause = f"worker-error: {type(exc).__name__}: {exc}"
-                if attempts > policy.max_retries:
+                if attempts > policy.max_job_retries:
                     results = quarantine_results(unit, attempts, cause)
                     break
                 if on_retry is not None:
@@ -180,10 +184,10 @@ def run_units_pool(
     ``fn`` is the worker unit entry point and ``initializer(*initargs)``
     installs per-process shared state (the campaign payload).  Each round
     submits every outstanding unit in order; once a worker takes a unit,
-    it has ``policy.timeout_s`` wall seconds.  A crashed pool
+    it has ``policy.job_timeout_s`` wall seconds.  A crashed pool
     (``BrokenProcessPool``) or an expired deadline tears the round's pool
     down and re-dispatches the survivors on a fresh one; units that keep failing past
-    ``policy.max_retries`` are quarantined.  A shutdown signal stops
+    ``policy.max_job_retries`` are quarantined.  A shutdown signal stops
     submissions, drains running units, and returns what completed.
     """
     collected: list[PairJobResult] = []
@@ -196,7 +200,7 @@ def run_units_pool(
 
     def note_failure(state: UnitState, cause: str, retry) -> None:
         state.attempts += 1
-        if state.attempts > policy.max_retries:
+        if state.attempts > policy.max_job_retries:
             complete(
                 state,
                 quarantine_results(state.jobs, state.attempts, cause),
@@ -234,7 +238,7 @@ def run_units_pool(
             while remaining:
                 done, _ = wait(
                     remaining,
-                    timeout=policy.poll_s,
+                    timeout=POLL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 broken = False
@@ -266,7 +270,7 @@ def run_units_pool(
                     remaining.clear()
                     break
                 now = time.monotonic()
-                if policy.timeout_s is not None:
+                if policy.job_timeout_s is not None:
                     # A unit's clock starts when a worker takes it, not
                     # at submission: a long backlog must not eat the
                     # deadline of the units queued behind it.  The pool
@@ -282,7 +286,7 @@ def run_units_pool(
                     for future in on_worker:
                         state = future_of[future]
                         if state.deadline is None:
-                            state.deadline = now + policy.timeout_s
+                            state.deadline = now + policy.job_timeout_s
                 expired = {
                     future
                     for future in remaining

@@ -67,8 +67,7 @@ def fire_worker_faults(jobs, payload, in_process: bool = False) -> None:
     process, and a fault harness must never take down the campaign
     driver itself.
     """
-    config = getattr(payload, "config", None)
-    plan = fault_plan(getattr(config, "inject_faults", None))
+    plan = fault_plan(payload.inject_faults)
     if plan is None:
         return
     for job in jobs:

@@ -39,7 +39,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.gpusim.latency_model import LatencySample, SwitchingLatencyModel
 from repro.gpusim.spec import GpuSpec
-from repro.gpusim.trajectory import FrequencyTrajectory
 
 __all__ = [
     "TransitionRecord",
@@ -419,34 +418,16 @@ class DvfsClockDomain:
     # ------------------------------------------------------------------
     # trajectory compilation
     # ------------------------------------------------------------------
-    def trajectory(self, t0: float) -> FrequencyTrajectory:
-        """Effective frequency trajectory from ``t0`` onward (caps applied).
-
-        Both event lists are kept sorted, so the boundaries after ``t0``
-        are suffix slices found by bisection — scanning the full (ever
-        growing) event history per kernel finalization made this quadratic
-        over a campaign.
-        """
-        events_after = self._event_times[
-            bisect.bisect_right(self._event_times, t0):
-        ]
-        caps_after = self._cap_times[bisect.bisect_right(self._cap_times, t0):]
-        boundaries = sorted({*events_after, *caps_after})
-        events: list[tuple[float, float]] = []
-        f0 = min(self.planned_freq_at(t0), self.cap_at(t0))
-        for t in boundaries:
-            events.append((t, min(self.planned_freq_at(t), self.cap_at(t))))
-        return FrequencyTrajectory.from_events(t0, f0, events)
-
     def compiled_segments(self, t0: float) -> tuple[list[float], list[float]]:
         """Effective-frequency segments from ``t0`` as boundary lists.
 
         Returns ``(tb, f_mhz)``: ``tb`` has one boundary per segment plus a
         trailing ``+inf``, ``f_mhz`` the per-segment frequency in MHz.  The
         segment set is canonical (adjacent equal frequencies merged), so it
-        is exactly what ``trajectory(t0).iter_from(t0)`` yields — but built
-        straight from the sorted event/cap timelines, without materializing
-        :class:`~repro.gpusim.trajectory.FrequencyTrajectory` objects.
+        is exactly what the :class:`~repro.gpusim.trajectory.FrequencyTrajectory`
+        of the same timelines yields from ``t0`` (the oracle in
+        ``tests/oracles.py``) — but built straight from the sorted
+        event/cap timelines, without materializing trajectory objects.
         This is the hot-path form the SM integrator consumes for every
         kernel finalization; the lists go to it as they are.
         """

@@ -4,7 +4,9 @@ A :class:`CampaignRequest` carries everything needed to rebuild a
 campaign from scratch — the machine recipe (GPU model, seed, hostname,
 GPU count) and the :class:`~repro.core.config.LatestConfig` keyword
 overrides — plus the service-level tenancy fields (tenant name,
-fair-share weight).  Because the request round-trips through JSON
+fair-share weight) and the campaign's CSV ``output_dir``.  Every other
+execution setting (supervision policy, calibration cache) is the
+service's own.  Because the request round-trips through JSON
 losslessly (:meth:`CampaignRequest.to_json` /
 :meth:`CampaignRequest.from_json`), the service persists each request
 next to its journal (``request.json``) and can resume an in-flight
@@ -50,9 +52,8 @@ class CampaignRequest:
 
     ``config`` holds :class:`~repro.core.config.LatestConfig` keyword
     overrides exactly as a caller would pass them to the constructor;
-    unknown keys, non-JSON-serializable fields (``outlier_config``,
-    ``ptp_link``) and ``job_timeout_s`` (no deadline can pre-empt a
-    fleet thread) are rejected at construction so a bad request fails
+    unknown keys and non-JSON-serializable fields (``outlier_config``,
+    ``ptp_link``) are rejected at construction so a bad request fails
     at submit time, not mid-campaign.
     """
 
@@ -66,6 +67,8 @@ class CampaignRequest:
     hostname: str = "simnode01"
     #: ``LatestConfig`` keyword overrides (JSON-serializable values only)
     config: dict = field(default_factory=dict)
+    #: directory the campaign streams its CSV files into (``None``: none)
+    output_dir: "str | None" = None
 
     def __post_init__(self) -> None:
         if not self.tenant:
@@ -85,12 +88,6 @@ class CampaignRequest:
                 f"config fields {sorted(banned)} are not JSON-serializable "
                 "and cannot be set through a service request"
             )
-        if "job_timeout_s" in self.config:
-            raise ConfigError(
-                "job_timeout_s cannot be set through a service request: "
-                "shards run on fleet threads, which a deadline cannot "
-                "pre-empt"
-            )
 
     # ------------------------------------------------------------------
     def build_machine(self) -> Machine:
@@ -102,19 +99,10 @@ class CampaignRequest:
             hostname=self.hostname,
         )
 
-    def build_config(self, **overrides) -> LatestConfig:
-        """The campaign config, sequences normalized to tuples.
-
-        ``overrides`` are the caller's own settings (the service's
-        shared ``calibration_cache``; ``latest-bench``'s execution and
-        kernel flags) layered under the request's config — the request
-        wins on conflict so a tenant can explicitly opt out of the
-        shared cache.
-        """
-        kwargs = dict(overrides)
-        kwargs.update(self.config)
+    def build_config(self) -> LatestConfig:
+        """The campaign config, sequences normalized to tuples."""
         return LatestConfig(
-            **{key: _normalize(value) for key, value in kwargs.items()}
+            **{key: _normalize(value) for key, value in self.config.items()}
         )
 
     # ------------------------------------------------------------------
@@ -129,6 +117,7 @@ class CampaignRequest:
                 "seed": self.seed,
                 "hostname": self.hostname,
                 "config": self.config,
+                "output_dir": self.output_dir,
             },
             sort_keys=True,
         )
@@ -141,7 +130,7 @@ class CampaignRequest:
             raise ConfigError("campaign request JSON must be an object")
         known = {
             "tenant", "weight", "gpu_model", "n_gpus", "seed",
-            "hostname", "config",
+            "hostname", "config", "output_dir",
         }
         unknown = set(data) - known
         if unknown:

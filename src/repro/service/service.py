@@ -41,7 +41,9 @@ a finished campaign writes ``result.json``.  A service restarted over
 the same root resumes every campaign that has a request but no result
 — replaying journaled pairs and measuring only the rest, bit-identical
 to the uninterrupted run (the journal fingerprint validates the
-request → config mapping).
+request → config mapping).  One supervision policy and one calibration
+cache serve every campaign; a request chooses only its CSV
+``output_dir``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from repro.core.stream import (
     PairRetried,
     PairSkipped,
 )
-from repro.errors import ServiceUnavailable
+from repro.errors import ConfigError, ReproError, ServiceUnavailable
 from repro.exec.engine import CampaignExecutor
 # Unused here since shards measure through CampaignExecutor.measure_units;
 # kept importable as service attributes because perfbench/spans.py wraps
@@ -124,7 +126,8 @@ class _CounterSink(CampaignSink):
 class _Campaign:
     """Internal per-campaign record around its live status."""
 
-    request: CampaignRequest
+    #: ``None`` for a journaled campaign whose request no longer parses
+    request: "CampaignRequest | None"
     broadcast: EventBroadcast
     status: CampaignStatus
     result: object = None
@@ -153,13 +156,16 @@ class CampaignService:
         progress and :meth:`start`-time crash recovery; ``None`` runs
         campaigns in memory only.
     calibration_cache:
-        One calibration cache directory shared across all tenants
-        (each request may still override it in its own config).
+        One calibration cache directory shared across all tenants.
     shard_pairs:
         Pair jobs per scheduler shard — the fair-share preemption
         granularity.  Smaller shards interleave tenants more finely at
         slightly more scheduling overhead; results are identical either
         way.
+    policy:
+        One retry and fault-injection policy for every campaign
+        (``None``: the default policy).  It may not set a job deadline:
+        shards run on fleet threads, which a deadline cannot pre-empt.
     """
 
     def __init__(
@@ -168,13 +174,20 @@ class CampaignService:
         journal_root: "str | Path | None" = None,
         calibration_cache: "str | None" = None,
         shard_pairs: int = 4,
+        policy: "SupervisionPolicy | None" = None,  # noqa: F821 - annotation only
     ) -> None:
+        if policy is not None and policy.job_timeout_s is not None:
+            raise ConfigError(
+                "the service policy cannot set job_timeout_s: shards run "
+                "on fleet threads, which a deadline cannot pre-empt"
+            )
         self.fleet = WorkerFleet(fleet_size)
         self.scheduler = FairShareScheduler(self.fleet)
         self.journal_root = (
             None if journal_root is None else Path(journal_root)
         )
         self.calibration_cache = calibration_cache
+        self.policy = policy
         self.shard_pairs = max(1, int(shard_pairs))
         self._campaigns: dict[str, _Campaign] = {}
         self._tenant_active: dict[str, int] = {}
@@ -192,7 +205,9 @@ class CampaignService:
         in-flight when it holds a ``request.json`` but no
         ``result.json`` — i.e. the previous service died (or was
         killed) before ``finish``; its journaled pairs replay and only
-        the remainder is measured.
+        the remainder is measured.  An in-flight ``request.json`` that
+        no longer parses is admitted as a ``failed`` campaign whose
+        status error names the parse error; it is not resumed.
         """
         self.scheduler.start()
         resumed: list[str] = []
@@ -203,9 +218,13 @@ class CampaignService:
                     continue
                 if (entry / "result.json").is_file():
                     continue
-                request = CampaignRequest.from_json(
-                    request_file.read_text()
-                )
+                try:
+                    request = CampaignRequest.from_json(
+                        request_file.read_text()
+                    )
+                except (ReproError, ValueError) as exc:
+                    self._admit_unreadable(entry.name, exc)
+                    continue
                 resumed.append(
                     self._admit(
                         request,
@@ -344,6 +363,22 @@ class CampaignService:
         )
         return campaign_id
 
+    def _admit_unreadable(self, campaign_id: str, exc: Exception) -> None:
+        """Record a journaled campaign whose request no longer parses."""
+        campaign = _Campaign(
+            request=None,
+            broadcast=EventBroadcast(asyncio.get_event_loop()),
+            status=CampaignStatus(
+                campaign_id=campaign_id,
+                tenant="",
+                state="failed",
+                error=f"unreadable request.json: {type(exc).__name__}: {exc}",
+            ),
+        )
+        campaign.broadcast.close(interrupted=True)
+        campaign.done.set()
+        self._campaigns[campaign_id] = campaign
+
     def _build_shards(self, prep) -> list[list]:
         """Facet-homogeneous job chunks of at most ``shard_pairs`` jobs."""
         shards: list[list] = []
@@ -374,9 +409,7 @@ class CampaignService:
                 """Machine build + engine prepare (fleet thread)."""
                 executor = CampaignExecutor(
                     request.build_machine(),
-                    request.build_config(
-                        calibration_cache=self.calibration_cache
-                    ),
+                    request.build_config(),
                     journal=(
                         None
                         if self.journal_root is None
@@ -387,6 +420,9 @@ class CampaignService:
                         _CounterSink(status),
                         QueueBridgeSink(campaign.broadcast),
                     ),
+                    policy=self.policy,
+                    calibration_cache=self.calibration_cache,
+                    output_dir=request.output_dir,
                 )
                 return executor, executor.prepare()
 

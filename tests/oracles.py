@@ -1,4 +1,4 @@
-"""Scalar oracles of the three batched hot paths.
+"""Reference oracles of the batched and compiled hot paths.
 
 Each function here is the original one-at-a-time formulation of a step
 that ``src/`` now runs only in batched or vectorized form.  They are the
@@ -11,13 +11,18 @@ semantic definitions the equivalence tests compare against bit for bit:
 * :func:`evaluate_switch_reference` — one ``SampleStats`` + Welch CI per
   candidate SM (``tests/test_core_phase3_vectorized.py``);
 * :func:`integrate_iterations_reference` — iteration boundaries by
-  explicit cycle accounting (``tests/test_gpusim_sm.py``).
+  explicit cycle accounting (``tests/test_gpusim_sm.py``);
+* :func:`domain_trajectory` — a DVFS clock domain's effective frequency
+  as a :class:`~repro.gpusim.trajectory.FrequencyTrajectory`, the object
+  form of ``DvfsClockDomain.compiled_segments``
+  (``tests/test_gpusim_dvfs.py``, ``tests/test_gpusim_dvfs_properties.py``).
 
 They are test code: nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -227,3 +232,21 @@ def integrate_iterations_reference(
                     t = seg.t_end
             ends[i, k] = t
     return KernelTimestamps(starts_true=starts, ends_true=ends)
+
+
+def domain_trajectory(domain, t0: float) -> FrequencyTrajectory:
+    """Effective frequency trajectory of ``domain`` from ``t0`` (caps applied).
+
+    Both event lists are kept sorted, so the boundaries after ``t0`` are
+    suffix slices found by bisection.
+    """
+    events_after = domain._event_times[
+        bisect.bisect_right(domain._event_times, t0):
+    ]
+    caps_after = domain._cap_times[bisect.bisect_right(domain._cap_times, t0):]
+    boundaries = sorted({*events_after, *caps_after})
+    events: list[tuple[float, float]] = []
+    f0 = min(domain.planned_freq_at(t0), domain.cap_at(t0))
+    for t in boundaries:
+        events.append((t, min(domain.planned_freq_at(t), domain.cap_at(t))))
+    return FrequencyTrajectory.from_events(t0, f0, events)

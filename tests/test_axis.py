@@ -319,10 +319,11 @@ class TestMemoryAxisEngine:
         for workers in (1, 2):
             out = tmp_path_factory.mktemp(f"mem_engine_{workers}")
             machine = make_machine("A100", seed=7)
-            cfg = memory_axis_config(
-                frequencies=(1215.0, 810.0), output_dir=str(out)
+            cfg = memory_axis_config(frequencies=(1215.0, 810.0))
+            results[workers] = (
+                run_campaign(machine, cfg, workers=workers, output_dir=str(out)),
+                out,
             )
-            results[workers] = (run_campaign(machine, cfg, workers=workers), out)
         return results
 
     @staticmethod
@@ -463,10 +464,11 @@ class TestPowerAxisEngine:
         for workers in (1, 2):
             out = tmp_path_factory.mktemp(f"pow_engine_{workers}")
             machine = make_machine("A100", seed=7)
-            cfg = power_axis_config(
-                frequencies=(400.0, 270.0), output_dir=str(out)
+            cfg = power_axis_config(frequencies=(400.0, 270.0))
+            results[workers] = (
+                run_campaign(machine, cfg, workers=workers, output_dir=str(out)),
+                out,
             )
-            results[workers] = (run_campaign(machine, cfg, workers=workers), out)
         return results
 
     @staticmethod
@@ -491,11 +493,11 @@ class TestPowerAxisEngine:
             assert measured == pytest.approx(truth, rel=0.30), pair.key
 
 
-def _run(machine, config, workers):
+def _run(machine, config, workers, output_dir=None):
     """A ``None`` worker count makes the default call, with no ``workers``."""
     if workers is None:
-        return run_campaign(machine, config)
-    return run_campaign(machine, config, workers=workers)
+        return run_campaign(machine, config, output_dir=output_dir)
+    return run_campaign(machine, config, workers=workers, output_dir=output_dir)
 
 
 # ----------------------------------------------------------------------
@@ -515,9 +517,8 @@ class TestLockedSmFacetSweep:
                 locked_sm_mhz=self.FACETS,
                 min_measurements=2,
                 max_measurements=4,
-                output_dir=str(out),
             )
-            results[workers] = (_run(machine, cfg, workers), out)
+            results[workers] = (_run(machine, cfg, workers, str(out)), out)
         return results
 
     def test_one_grid_per_facet(self, facet_results):
@@ -673,7 +674,7 @@ class TestAxisSeedStreams:
 # ----------------------------------------------------------------------
 # the legacy-equivalence regression (CI-gated: must never be skipped)
 # ----------------------------------------------------------------------
-def _golden_config(outdir):
+def _golden_config():
     return LatestConfig(
         frequencies=(705.0, 1095.0, 1410.0),
         record_sm_count=4,
@@ -687,7 +688,6 @@ def _golden_config(outdir):
         confirm_iterations=150,
         probe_window_s=0.4,
         settle_chunk_s=0.08,
-        output_dir=str(outdir),
     )
 
 
@@ -739,7 +739,7 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_default_axis_output_pinned(self, workers, tmp_path):
         machine = make_machine("A100", seed=2718)
-        result = _run(machine, _golden_config(tmp_path), workers)
+        result = _run(machine, _golden_config(), workers, str(tmp_path))
         golden_digest, golden_wall = self.GOLDEN[workers or 1]
         assert _campaign_digest(tmp_path) == golden_digest
         assert result.wall_virtual_s == golden_wall
@@ -747,7 +747,7 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_memory_axis_output_pinned(self, workers, tmp_path):
         machine = make_machine("A100", seed=2718)
-        config = _golden_config(tmp_path)
+        config = _golden_config()
         config = LatestConfig(
             **{
                 **{f.name: getattr(config, f.name) for f in fields(config)},
@@ -755,7 +755,7 @@ class TestLegacyEquivalence:
                 "axis": "memory",
             }
         )
-        result = _run(machine, config, workers)
+        result = _run(machine, config, workers, str(tmp_path))
         golden_digest, golden_wall = self.GOLDEN_MEMORY[workers or 1]
         assert _campaign_digest(tmp_path) == golden_digest
         assert result.wall_virtual_s == golden_wall

@@ -26,7 +26,7 @@ from repro.core.calibcache import (
 )
 from repro.core.stream import FacetPrepared, RecordingSink
 from repro.errors import CampaignInterrupted
-from repro.exec.jobs import calibration_seed_sequence
+from repro.exec.jobs import SupervisionPolicy, calibration_seed_sequence
 from repro.exec.worker import calibrate_facet
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint, _csv_bytes
@@ -141,9 +141,10 @@ class TestFingerprint:
         )
 
     def test_execution_only_knobs_keep_key(self):
-        # Worker counts, stopping rules, supervision and output settings
-        # provably cannot change phase 1 or the probe; re-tuning them
-        # must still hit.
+        # Stopping rules and the other phase-2/3 knobs provably cannot
+        # change phase 1 or the probe; re-tuning them must still hit.
+        # (Worker counts, supervision, output and the cache location are
+        # executor parameters and never reach the key.)
         bp = _machine().blueprint
         base = calibration_fingerprint(
             _axis_config("sm_core"), bp, 0, None, _T0
@@ -154,9 +155,6 @@ class TestFingerprint:
             min_measurements=2,
             max_measurements=64,
             rse_check_every=9,
-            output_dir="/tmp/elsewhere",
-            max_job_retries=9,
-            calibration_cache="/tmp/some/cache",
             throttle_backoff_s=0.5,
             max_consecutive_failures=11,
         )
@@ -191,10 +189,9 @@ class TestFingerprint:
     @given(
         rse=st.floats(0.01, 0.2),
         cap=st.integers(4, 64),
-        retries=st.integers(0, 5),
     )
     @settings(max_examples=15, deadline=None)
-    def test_excluded_knobs_never_move_key(self, rse, cap, retries):
+    def test_excluded_knobs_never_move_key(self, rse, cap):
         bp = make_machine("A100", seed=4242).blueprint
         base = calibration_fingerprint(
             _axis_config("sm_core"), bp, 0, None, _T0
@@ -203,7 +200,6 @@ class TestFingerprint:
             "sm_core",
             rse_threshold=rse,
             max_measurements=max(cap, 4),
-            max_job_retries=retries,
         )
         assert (
             calibration_fingerprint(varied, bp, 0, None, _T0) == base
@@ -310,22 +306,22 @@ class TestColdWarmIdentity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warm_run_bit_identical(self, axis, workers, tmp_path):
         cache = str(tmp_path / "cc")
-        cold_cfg = _axis_config(
-            axis,
+        cold, counts = _counted(
+            run_campaign,
+            _machine(),
+            _axis_config(axis),
+            workers=workers,
             calibration_cache=cache,
             output_dir=str(tmp_path / "cold"),
         )
-        cold, counts = _counted(
-            run_campaign, _machine(), cold_cfg, workers=workers
-        )
         assert counts == (0, 1)
-        warm_cfg = _axis_config(
-            axis,
+        warm, counts = _counted(
+            run_campaign,
+            _machine(),
+            _axis_config(axis),
+            workers=workers,
             calibration_cache=cache,
             output_dir=str(tmp_path / "warm"),
-        )
-        warm, counts = _counted(
-            run_campaign, _machine(), warm_cfg, workers=workers
         )
         assert counts == (1, 0)
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
@@ -338,7 +334,7 @@ class TestColdWarmIdentity:
     ):
         cache = str(tmp_path / "cc")
         run_campaign(
-            _machine(), _axis_config(axis, calibration_cache=cache), workers=1
+            _machine(), _axis_config(axis), workers=1, calibration_cache=cache
         )
 
         def bomb(*args, **kwargs):  # pragma: no cover - must never run
@@ -350,8 +346,9 @@ class TestColdWarmIdentity:
         warm, counts = _counted(
             run_campaign,
             _machine(),
-            _axis_config(axis, calibration_cache=cache),
+            _axis_config(axis),
             workers=1,
+            calibration_cache=cache,
         )
         assert counts == (1, 0)
         assert not any(p.skipped for p in warm.pairs.values())
@@ -359,7 +356,7 @@ class TestColdWarmIdentity:
     def test_multi_facet_warm_run_zero_passes(self, tmp_path, monkeypatch):
         cache = str(tmp_path / "cc")
         cold = run_campaign(
-            _machine(11), _facet_config(calibration_cache=cache), workers=1
+            _machine(11), _facet_config(), workers=1, calibration_cache=cache
         )
 
         def bomb(*args, **kwargs):  # pragma: no cover - must never run
@@ -371,8 +368,9 @@ class TestColdWarmIdentity:
         warm, counts = _counted(
             run_campaign,
             _machine(11),
-            _facet_config(calibration_cache=cache),
+            _facet_config(),
             workers=1,
+            calibration_cache=cache,
         )
         assert counts == (2, 0)
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
@@ -383,15 +381,17 @@ class TestColdWarmIdentity:
         cold_sink = RecordingSink()
         run_campaign(
             _machine(11),
-            _facet_config(calibration_cache=cache),
+            _facet_config(),
             workers=1,
+            calibration_cache=cache,
             sinks=(cold_sink,),
         )
         warm_sink = RecordingSink()
         run_campaign(
             _machine(11),
-            _facet_config(calibration_cache=cache),
+            _facet_config(),
             workers=1,
+            calibration_cache=cache,
             sinks=(warm_sink,),
         )
         cold_facets = cold_sink.of_type(FacetPrepared)
@@ -408,8 +408,9 @@ class TestColdWarmIdentity:
     def test_cold_run_with_cache_equals_run_without(self, tmp_path):
         with_cache = run_campaign(
             _machine(11),
-            _facet_config(calibration_cache=str(tmp_path / "cc")),
+            _facet_config(),
             workers=1,
+            calibration_cache=str(tmp_path / "cc"),
         )
         without = run_campaign(_machine(11), _facet_config(), workers=1)
         assert _campaign_fingerprint(with_cache) == _campaign_fingerprint(
@@ -422,15 +423,17 @@ class TestColdWarmIdentity:
         cold, counts = _counted(
             run_campaign,
             _machine(11),
-            _facet_config(calibration_cache=cache),
+            _facet_config(),
             workers=2,
+            calibration_cache=cache,
         )
         assert counts == (0, 2)
         warm, counts = _counted(
             run_campaign,
             _machine(11),
-            _facet_config(calibration_cache=cache),
+            _facet_config(),
             workers=2,
+            calibration_cache=cache,
         )
         assert counts == (2, 0)
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
@@ -446,11 +449,10 @@ class TestColdWarmIdentity:
         cold, counts = _counted(
             run_campaign,
             _machine(11),
-            _facet_config(
-                calibration_cache=str(cache_dir),
-                output_dir=str(tmp_path / "cold"),
-            ),
+            _facet_config(),
             workers=1,
+            calibration_cache=str(cache_dir),
+            output_dir=str(tmp_path / "cold"),
         )
         assert counts == (0, 2)
         keys = sorted(path.stem for path in cache_dir.glob("*.calib"))
@@ -472,11 +474,10 @@ class TestColdWarmIdentity:
         warm, counts = _counted(
             run_campaign,
             _machine(11),
-            _facet_config(
-                calibration_cache=str(cache_dir),
-                output_dir=str(tmp_path / "warm"),
-            ),
+            _facet_config(),
             workers=1,
+            calibration_cache=str(cache_dir),
+            output_dir=str(tmp_path / "warm"),
         )
         assert counts == (2, 0)
         assert _campaign_fingerprint(warm) == _campaign_fingerprint(cold)
@@ -488,10 +489,13 @@ class TestColdWarmIdentity:
         # consults the cache under its own, later start time: it misses
         # the fresh build's entry and measures exactly what an uncached
         # campaign on the same reused machine measures.
-        cfg = _axis_config("sm_core", calibration_cache=str(tmp_path / "cc"))
+        cfg = _axis_config("sm_core")
+        cache = str(tmp_path / "cc")
         cached = _machine(11)
-        run_campaign(cached, cfg, workers=1)
-        reused, counts = _counted(run_campaign, cached, cfg, workers=1)
+        run_campaign(cached, cfg, workers=1, calibration_cache=cache)
+        reused, counts = _counted(
+            run_campaign, cached, cfg, workers=1, calibration_cache=cache
+        )
         assert counts == (0, 1)
 
         plain = _machine(11)
@@ -540,7 +544,6 @@ class TestParallelFacetCalibration:
                 min_measurements=2,
                 max_measurements=64,
                 rse_check_every=7,
-                max_job_retries=9,
                 throttle_backoff_s=0.9,
                 max_consecutive_failures=3,
             ),
@@ -566,16 +569,16 @@ class TestResumeWithWarmCache:
         cache = str(tmp_path / "cc")
         journal_dir = tmp_path / "journal"
         golden = run_campaign(
-            _machine(11), _facet_config(calibration_cache=cache), workers=1
+            _machine(11), _facet_config(), workers=1, calibration_cache=cache
         )
         with pytest.raises(CampaignInterrupted):
             run_campaign(
                 _machine(11),
-                _facet_config(
-                    calibration_cache=cache, inject_faults="interrupt@2"
-                ),
+                _facet_config(),
                 workers=1,
                 journal=journal_dir,
+                policy=SupervisionPolicy(inject_faults="interrupt@2"),
+                calibration_cache=cache,
             )
 
         def bomb(*args, **kwargs):  # pragma: no cover - must never run
@@ -587,10 +590,11 @@ class TestResumeWithWarmCache:
         resumed, counts = _counted(
             run_campaign,
             _machine(11),
-            _facet_config(calibration_cache=cache),
+            _facet_config(),
             workers=1,
             journal=journal_dir,
             resume=True,
+            calibration_cache=cache,
         )
         assert counts == (2, 0)
         assert _campaign_fingerprint(resumed) == _campaign_fingerprint(golden)

@@ -254,14 +254,14 @@ class TestMain:
         assert code == 0
         assert "RTX Quadro 6000" in capsys.readouterr().out
 
-    def test_job_timeout_reaches_config(self, monkeypatch, capsys):
+    def test_job_timeout_reaches_policy(self, monkeypatch, capsys):
         import repro.cli
 
         seen = []
         real = repro.cli.run_campaign
 
         def spy(machine, config, **kwargs):
-            seen.append(config)
+            seen.append(kwargs["policy"])
             return real(machine, config, **kwargs)
 
         monkeypatch.setattr(repro.cli, "run_campaign", spy)
@@ -277,7 +277,7 @@ class TestMain:
             ]
         )
         assert code == 0
-        assert [config.job_timeout_s for config in seen] == [2.5]
+        assert [policy.job_timeout_s for policy in seen] == [2.5]
 
     @pytest.mark.parametrize("seconds", ["0", "-1"])
     def test_non_positive_job_timeout_exits(self, seconds):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import LatestConfig
 from repro.errors import ConfigError
+from repro.exec.jobs import SupervisionPolicy
 
 
 def config(**kw):
@@ -57,12 +58,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
     def test_non_positive_job_timeout_rejected(self, seconds):
+        # The deadline is an execution setting: the supervision policy's.
         with pytest.raises(ConfigError, match="job_timeout_s"):
-            config(job_timeout_s=seconds)
+            SupervisionPolicy(job_timeout_s=seconds)
 
     def test_job_timeout_defaults_to_none(self):
-        assert config().job_timeout_s is None
-        assert config(job_timeout_s=2.5).job_timeout_s == 2.5
+        assert SupervisionPolicy().job_timeout_s is None
+        assert SupervisionPolicy(job_timeout_s=2.5).job_timeout_s == 2.5
 
     def test_memory_frequency_invariants(self):
         with pytest.raises(ConfigError):

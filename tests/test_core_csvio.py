@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import make_machine, run_campaign
 from repro.core.csvio import (
     pair_csv_name,
     parse_pair_csv_name,
     read_pair_csv,
     sanitize_hostname,
+    summary_interrupted,
     write_campaign_csvs,
     write_pair_csv,
 )
@@ -22,7 +24,11 @@ from repro.core.results import (
     PairResult,
     SwitchingLatencyMeasurement,
 )
-from repro.errors import MeasurementError
+from repro.core.sweep import sweep_devices
+from repro.errors import CampaignInterrupted, MeasurementError
+from repro.exec.jobs import SupervisionPolicy
+from tests.conftest import fast_config
+from tests.test_exec_engine import _csv_bytes
 
 
 def _measurement(latency_s, gt=None):
@@ -200,19 +206,60 @@ class TestCampaignOutput:
         assert len(lines) == 1 + len(small_a100_campaign.pairs)
 
     def test_output_dir_config_writes(self, tmp_path):
-        from repro import make_machine, run_campaign
-        from tests.conftest import fast_config
-
         machine = make_machine("A100", seed=31)
         config = fast_config(
             (705.0, 1410.0),
             min_measurements=4,
             max_measurements=6,
-            output_dir=str(tmp_path / "out"),
         )
-        run_campaign(machine, config)
+        run_campaign(machine, config, output_dir=str(tmp_path / "out"))
         files = list((tmp_path / "out").glob("*.csv"))
         assert len(files) >= 3  # two pairs + summary
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_output_dir_equals_batch_writer(self, workers, tmp_path):
+        # output_dir streams through CsvStreamSink, the one CSV writer of
+        # a running campaign; its files are the batch writer's, byte for
+        # byte, at any worker count.
+        result = run_campaign(
+            make_machine("A100", seed=31),
+            fast_config((705.0, 1095.0, 1410.0)),
+            workers=workers,
+            output_dir=str(tmp_path / "streamed"),
+        )
+        write_campaign_csvs(tmp_path / "batch", result)
+        streamed = _csv_bytes(tmp_path / "streamed")
+        assert streamed == _csv_bytes(tmp_path / "batch")
+        assert len(streamed) == 7  # six pairs + summary
+
+    def test_device_sweep_output_dir_equals_batch_writer(self, tmp_path):
+        # One directory for the whole sweep: file names carry the GPU
+        # index, so the devices' CSVs never collide.
+        results = sweep_devices(
+            make_machine("A100", n_gpus=2, seed=21),
+            fast_config((705.0, 1410.0)),
+            output_dir=str(tmp_path / "streamed"),
+        )
+        for result in results:
+            write_campaign_csvs(tmp_path / "batch", result)
+        streamed = _csv_bytes(tmp_path / "streamed")
+        assert streamed == _csv_bytes(tmp_path / "batch")
+        assert {"summary_simnode01_gpu0.csv", "summary_simnode01_gpu1.csv"} <= set(
+            streamed
+        )
+
+    def test_interrupted_output_dir_leaves_marked_summary(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                make_machine("A100", seed=31),
+                fast_config((705.0, 1095.0, 1410.0)),
+                policy=SupervisionPolicy(inject_faults="interrupt@2"),
+                output_dir=str(out),
+            )
+        [summary] = out.glob("summary_*.csv")
+        assert summary_interrupted(summary)
+        assert 2 <= len(list(out.glob("swlat_*.csv"))) < 6
 
 
 _FIELDS = [

@@ -10,7 +10,6 @@ the oracle replaces ``repro.exec.worker.measure_pair`` and the cap is set
 by monkeypatching ``PASS_BLOCK_CAP``.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +34,7 @@ def _csv_bytes(directory: Path) -> dict[str, bytes]:
 
 def _run(machine_factory, cfg, outdir):
     machine = machine_factory()
-    result = run_campaign(
-        machine, replace(cfg, output_dir=str(outdir)), workers=1
-    )
+    result = run_campaign(machine, cfg, workers=1, output_dir=str(outdir))
     return result, _csv_bytes(outdir)
 
 

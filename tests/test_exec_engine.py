@@ -70,8 +70,9 @@ class TestWorkerCountInvariance:
         for workers in (1, 2, 4):
             outdir = tmp_path_factory.mktemp(f"csv_w{workers}")
             machine = make_machine("A100", seed=90125)
-            cfg = _engine_config(output_dir=str(outdir))
-            result = run_campaign(machine, cfg, workers=workers)
+            result = run_campaign(
+                machine, _engine_config(), workers=workers, output_dir=str(outdir)
+            )
             out[workers] = (result, _csv_bytes(outdir), machine)
         return out
 

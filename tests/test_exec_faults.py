@@ -39,10 +39,14 @@ def _hang_first_unit(jobs):
     return []
 
 
-def _fault_config(**overrides):
+def _fault_config():
+    return fast_config((705.0, 1095.0, 1410.0))
+
+
+def _policy(**overrides):
     defaults = dict(retry_backoff_s=0.01, retry_backoff_max_s=0.05)
     defaults.update(overrides)
-    return fast_config((705.0, 1095.0, 1410.0), **defaults)
+    return SupervisionPolicy(**defaults)
 
 
 class TestFaultSpecParsing:
@@ -85,7 +89,7 @@ class TestFaultSpecParsing:
 
     def test_config_validates_spec_eagerly(self):
         with pytest.raises(ConfigError, match="malformed"):
-            _fault_config(inject_faults="bogus")
+            _policy(inject_faults="bogus")
 
     def test_attempt_gating(self):
         plan = FaultPlan.parse("raise@2")
@@ -115,7 +119,7 @@ class TestEngineRecovery:
     def test_inprocess_kill_retries_bit_identically(self, baseline):
         machine = make_machine("A100", seed=777)
         result = run_campaign(
-            machine, _fault_config(inject_faults="kill@0"), workers=1
+            machine, _fault_config(), workers=1, policy=_policy(inject_faults="kill@0")
         )
         assert _campaign_fingerprint(result) == baseline
         retried = [p for p in result.pairs.values() if p.n_retries > 0]
@@ -125,18 +129,15 @@ class TestEngineRecovery:
     def test_pool_worker_crash_recovers(self, baseline):
         machine = make_machine("A100", seed=777)
         result = run_campaign(
-            machine, _fault_config(inject_faults="kill@0"), workers=2
+            machine, _fault_config(), workers=2, policy=_policy(inject_faults="kill@0")
         )
         assert _campaign_fingerprint(result) == baseline
         assert any(p.n_retries > 0 for p in result.pairs.values())
 
     def test_hung_worker_hits_deadline_and_recovers(self, baseline):
         machine = make_machine("A100", seed=777)
-        cfg = _fault_config(
-            inject_faults="hang@0:60",
-            job_timeout_s=0.5,
-        )
-        result = run_campaign(machine, cfg, workers=2)
+        policy = _policy(inject_faults="hang@0:60", job_timeout_s=0.5)
+        result = run_campaign(machine, _fault_config(), workers=2, policy=policy)
         assert _campaign_fingerprint(result) == baseline
         assert any(p.n_retries > 0 for p in result.pairs.values())
 
@@ -149,7 +150,7 @@ class TestEngineRecovery:
                 [PairJob(index=i, init_mhz=705.0, target_mhz=1410.0)]
                 for i in range(8)
             ],
-            SupervisionPolicy(timeout_s=1.5),
+            SupervisionPolicy(job_timeout_s=1.5),
             None,
             landed.append,
             workers=1,
@@ -170,7 +171,9 @@ class TestEngineRecovery:
                 [PairJob(index=i, init_mhz=705.0, target_mhz=1410.0)]
                 for i in range(4)
             ],
-            SupervisionPolicy(timeout_s=0.5, max_retries=1, backoff_s=0.0),
+            SupervisionPolicy(
+                job_timeout_s=0.5, max_job_retries=1, retry_backoff_s=0.0
+            ),
             None,
             landed.append,
             workers=1,
@@ -186,8 +189,8 @@ class TestEngineRecovery:
 
     def test_persistent_failure_quarantined(self):
         machine = make_machine("A100", seed=777)
-        cfg = _fault_config(inject_faults="raise@0*99", max_job_retries=1)
-        result = run_campaign(machine, cfg, workers=1)
+        policy = _policy(inject_faults="raise@0*99", max_job_retries=1)
+        result = run_campaign(machine, _fault_config(), workers=1, policy=policy)
         skipped = [p for p in result.pairs.values() if p.skipped]
         assert len(skipped) == 1
         assert skipped[0].skip_reason.startswith("quarantined after 2")
@@ -200,8 +203,8 @@ class TestEngineRecovery:
 
     def test_quarantine_with_zero_retries(self):
         machine = make_machine("A100", seed=777)
-        cfg = _fault_config(inject_faults="raise@0", max_job_retries=0)
-        result = run_campaign(machine, cfg, workers=1)
+        policy = _policy(inject_faults="raise@0", max_job_retries=0)
+        result = run_campaign(machine, _fault_config(), workers=1, policy=policy)
         skipped = [p for p in result.pairs.values() if p.skipped]
         assert len(skipped) == 1
         assert skipped[0].skip_reason.startswith("quarantined after 1")

@@ -20,6 +20,7 @@ from repro.core.calibcache import calibration_fingerprint
 from repro.core.config import LatestConfig
 from repro.core.journal import campaign_fingerprint
 from repro.errors import CampaignInterrupted
+from repro.exec.jobs import SupervisionPolicy
 from repro.gpusim.spec import GPU_MODELS, GpuSpec
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint, _csv_bytes
@@ -119,21 +120,24 @@ def test_in_process_resume_after_warming_memos(model, tmp_path):
     with pytest.raises(CampaignInterrupted):
         run_campaign(
             make_machine(model, seed=3),
-            _config(model, "sm_core", inject_faults="interrupt@2"),
+            _config(model, "sm_core"),
             workers=1,
             journal=journal_dir,
+            policy=SupervisionPolicy(inject_faults="interrupt@2"),
         )
     golden = run_campaign(
         make_machine(model, seed=3),
-        _config(model, "sm_core", output_dir=str(tmp_path / "gold")),
+        _config(model, "sm_core"),
         workers=1,
+        output_dir=str(tmp_path / "gold"),
     )
     resumed = run_campaign(
         make_machine(model, seed=3),
-        _config(model, "sm_core", output_dir=str(tmp_path / "res")),
+        _config(model, "sm_core"),
         workers=1,
         journal=journal_dir,
         resume=True,
+        output_dir=str(tmp_path / "res"),
     )
     assert _campaign_fingerprint(resumed) == _campaign_fingerprint(golden)
     assert resumed.wall_virtual_s == golden.wall_virtual_s

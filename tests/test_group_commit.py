@@ -37,6 +37,7 @@ from repro.core.csvio import CsvStreamSink
 from repro.core.stream import CampaignSink, PairMeasured
 from repro.errors import CampaignInterrupted
 from repro.exec import engine
+from repro.exec.jobs import SupervisionPolicy
 from tests.conftest import fast_config
 
 FREQUENCIES = (705.0, 900.0, 1095.0, 1410.0, 1215.0)
@@ -138,8 +139,9 @@ def _run(tmp: Path, name: str, *, faults=None, resume=False, journal=None):
         try:
             result = run_campaign(
                 _machine(),
-                _config(inject_faults=faults),
+                _config(),
                 workers=1,
+                policy=SupervisionPolicy(inject_faults=faults),
                 journal=journal,
                 resume=resume,
                 sinks=sinks,

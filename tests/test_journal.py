@@ -9,7 +9,7 @@ import signal
 
 import pytest
 
-from repro import make_machine
+from repro import make_machine, run_campaign
 from repro.core.journal import (
     JOURNAL_VERSION,
     CampaignJournal,
@@ -18,8 +18,10 @@ from repro.core.journal import (
     campaign_synopsis,
 )
 from repro.core.results import PairResult
-from repro.errors import ConfigError, MeasurementError
+from repro.errors import CampaignInterrupted, ConfigError, MeasurementError
+from repro.exec.jobs import SupervisionPolicy
 from tests.conftest import fast_config
+from tests.test_exec_engine import _csv_bytes
 
 
 def _cfg(**over):
@@ -52,19 +54,39 @@ class TestFingerprint:
             cfg, make_machine("A100", seed=6).blueprint
         )
 
-    def test_execution_only_knobs_excluded(self):
-        # A resume may legitimately vary supervision/output settings:
-        # they provably cannot change measurements.
-        bp = make_machine("A100", seed=5).blueprint
-        base = campaign_fingerprint(_cfg(), bp)
-        varied = _cfg(
-            output_dir="/tmp/elsewhere",
-            max_job_retries=9,
-            job_timeout_s=3.0,
-            retry_backoff_s=0.0,
-            inject_faults="kill@0",
+    def test_execution_only_knobs_excluded(self, tmp_path):
+        # Execution settings are executor parameters, not config fields,
+        # so they never reach the fingerprint: a resume with a different
+        # policy, output directory and fault plan is accepted.
+        journal = tmp_path / "journal"
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                make_machine("A100", seed=5),
+                _cfg(),
+                journal=journal,
+                policy=SupervisionPolicy(inject_faults="interrupt@2"),
+                output_dir=str(tmp_path / "first"),
+            )
+        resumed = run_campaign(
+            make_machine("A100", seed=5),
+            _cfg(),
+            journal=journal,
+            resume=True,
+            policy=SupervisionPolicy(
+                job_timeout_s=60.0,
+                max_job_retries=9,
+                retry_backoff_s=0.0,
+                inject_faults="raise@5",
+            ),
+            output_dir=str(tmp_path / "second"),
         )
-        assert campaign_fingerprint(varied, bp) == base
+        plain = run_campaign(
+            make_machine("A100", seed=5),
+            _cfg(),
+            output_dir=str(tmp_path / "plain"),
+        )
+        assert resumed.wall_virtual_s == plain.wall_virtual_s
+        assert _csv_bytes(tmp_path / "second") == _csv_bytes(tmp_path / "plain")
 
     def test_rejects_blueprintless_machine(self):
         with pytest.raises(ConfigError, match="blueprint"):
@@ -203,8 +225,8 @@ class TestShutdownGuard:
 
 
 def test_fingerprint_excludes_are_real_fields():
+    from repro.core.calibcache import _CALIBRATION_EXCLUDED
     from repro.core.config import LatestConfig
-    from repro.core.fingerprint import EXECUTION_ONLY_FIELDS
 
     names = {f.name for f in dataclasses.fields(LatestConfig)}
-    assert EXECUTION_ONLY_FIELDS <= names
+    assert _CALIBRATION_EXCLUDED <= names

@@ -14,8 +14,12 @@ from repro import make_machine, run_campaign
 from repro.cli import main
 from repro.core.journal import CampaignJournal, campaign_fingerprint
 from repro.errors import CampaignInterrupted, ConfigError, MeasurementError
+from repro.exec.jobs import SupervisionPolicy
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint, _csv_bytes
+
+#: the driver fault that stops a campaign after its 2nd merged pair
+INTERRUPT_AT_2 = SupervisionPolicy(inject_faults="interrupt@2")
 
 _AXES = {
     "sm_core": dict(frequencies=(705.0, 1095.0, 1410.0)),
@@ -39,8 +43,12 @@ class TestInterruptResumeAxes:
     @pytest.mark.parametrize("axis", sorted(_AXES))
     def test_resumed_campaign_bit_identical(self, axis, tmp_path):
         journal_dir = tmp_path / "journal"
-        golden_cfg = _axis_config(axis, output_dir=str(tmp_path / "gold"))
-        golden = run_campaign(_machine(), golden_cfg, workers=1)
+        golden = run_campaign(
+            _machine(),
+            _axis_config(axis),
+            workers=1,
+            output_dir=str(tmp_path / "gold"),
+        )
         golden_csv = _csv_bytes(tmp_path / "gold")
 
         # interrupt@2: SIGINT lands on the driver after the 2nd merged
@@ -49,9 +57,10 @@ class TestInterruptResumeAxes:
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_campaign(
                 _machine(),
-                _axis_config(axis, inject_faults="interrupt@2"),
+                _axis_config(axis),
                 workers=1,
                 journal=journal_dir,
+                policy=INTERRUPT_AT_2,
             )
         assert excinfo.value.journal_dir == str(journal_dir)
         assert "--resume" in str(excinfo.value)
@@ -66,9 +75,13 @@ class TestInterruptResumeAxes:
         recorded.close()
         assert 2 <= n_recorded < 6
 
-        resumed_cfg = _axis_config(axis, output_dir=str(tmp_path / "res"))
         resumed = run_campaign(
-            _machine(), resumed_cfg, workers=1, journal=journal_dir, resume=True
+            _machine(),
+            _axis_config(axis),
+            workers=1,
+            journal=journal_dir,
+            resume=True,
+            output_dir=str(tmp_path / "res"),
         )
         assert _campaign_fingerprint(resumed) == _campaign_fingerprint(golden)
         assert resumed.wall_virtual_s == golden.wall_virtual_s
@@ -93,11 +106,10 @@ class TestResumeValidation:
         with pytest.raises(CampaignInterrupted):
             run_campaign(
                 _machine(),
-                _axis_config(
-                    "sm_core", inject_faults="interrupt@2", **cfg_overrides
-                ),
+                _axis_config("sm_core", **cfg_overrides),
                 workers=1,
                 journal=journal_dir,
+                policy=INTERRUPT_AT_2,
             )
         return journal_dir
 
@@ -130,10 +142,11 @@ class TestResumeValidation:
         )
         resumed = run_campaign(
             _machine(),
-            _axis_config("sm_core", max_job_retries=9),
+            _axis_config("sm_core"),
             workers=2,
             journal=journal_dir,
             resume=True,
+            policy=SupervisionPolicy(max_job_retries=9),
         )
         assert _campaign_fingerprint(resumed) == _campaign_fingerprint(golden)
 
@@ -198,7 +211,8 @@ class TestCliResume:
 
 
 def test_interrupted_error_without_journal_has_no_dir(tmp_path):
-    cfg = _axis_config("sm_core", inject_faults="interrupt@2")
     with pytest.raises(CampaignInterrupted) as excinfo:
-        run_campaign(_machine(), cfg, workers=1)
+        run_campaign(
+            _machine(), _axis_config("sm_core"), workers=1, policy=INTERRUPT_AT_2
+        )
     assert excinfo.value.journal_dir is None

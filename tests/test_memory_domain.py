@@ -216,8 +216,7 @@ class TestGridCampaign:
 
     def test_csv_names_carry_memory(self, tmp_path):
         machine = make_machine("A100", seed=12)
-        cfg = mem_config(output_dir=str(tmp_path / "out"))
-        run_campaign(machine, cfg)
+        run_campaign(machine, mem_config(), output_dir=str(tmp_path / "out"))
         names = {p.name for p in (tmp_path / "out").glob("swlatm_*.csv")}
         assert any("_1215_" in n for n in names)
         assert any("_810_" in n for n in names)

@@ -19,8 +19,10 @@ import pytest
 
 from repro import make_machine, run_campaign
 from repro.core.config import LatestConfig
+from repro.core.csvio import summary_interrupted, write_campaign_csvs
 from repro.core.stream import FacetPrepared, PairMeasured, PairRetried
 from repro.errors import ConfigError, ServiceUnavailable
+from repro.exec.jobs import SupervisionPolicy
 from repro.service.client import SocketClient
 from repro.service.requests import CampaignRequest
 from repro.service.scheduler import FairShareScheduler
@@ -48,19 +50,30 @@ FAST = dict(
 SM_FREQS = (705.0, 1095.0, 1410.0)
 
 
-def _request(seed, tenant="default", weight=1.0, frequencies=SM_FREQS, **over):
+def _request(
+    seed,
+    tenant="default",
+    weight=1.0,
+    frequencies=SM_FREQS,
+    output_dir=None,
+    **over,
+):
     config = dict(FAST, frequencies=list(frequencies))
     config.update(over)
     return CampaignRequest(
-        tenant=tenant, weight=weight, seed=seed, config=config
+        tenant=tenant,
+        weight=weight,
+        seed=seed,
+        config=config,
+        output_dir=output_dir,
     )
 
 
-def _standalone(seed, frequencies=SM_FREQS, **over):
+def _standalone(seed, frequencies=SM_FREQS, output_dir=None, **over):
     """The reference result a service campaign must reproduce exactly."""
     machine = make_machine("A100", seed=seed)
     config = fast_config(frequencies, **over)
-    return run_campaign(machine, config, workers=1)
+    return run_campaign(machine, config, workers=1, output_dir=output_dir)
 
 
 async def _measured_then_cancel(service, campaign_id, n_measured):
@@ -297,6 +310,38 @@ class TestRestartResume:
             assert status.replayed >= 2  # journaled pairs came back free
             assert (root / campaign_id / "result.json").is_file()
 
+    def test_unreadable_request_fails_only_its_campaign(self, tmp_path):
+        # An in-flight request.json that no longer parses (here one with
+        # a config field that is gone) must not stop the service from
+        # starting: its campaign is failed, the others resume.
+        root = tmp_path / "journals"
+        stale = json.loads(_request(11).to_json())
+        stale["config"]["pass_block_size"] = 5
+        for campaign_id, payload in (
+            ("c0001", stale),
+            ("c0002", json.loads(_request(22).to_json())),
+        ):
+            (root / campaign_id).mkdir(parents=True)
+            (root / campaign_id / "request.json").write_text(
+                json.dumps(payload)
+            )
+
+        async def main():
+            service = CampaignService(fleet_size=2, journal_root=root)
+            resumed = await service.start()
+            result = await service.result("c0002")
+            stale_status = service.status("c0001")
+            with pytest.raises(ServiceUnavailable, match="pass_block_size"):
+                await service.result("c0001")
+            await service.stop()
+            return resumed, result, stale_status
+
+        resumed, result, stale_status = asyncio.run(main())
+        assert resumed == ["c0002"]
+        assert result.wall_virtual_s == _standalone(22).wall_virtual_s
+        assert stale_status.state == "failed"
+        assert "pass_block_size" in stale_status.error
+
     def test_finished_campaigns_are_not_resumed(self, tmp_path):
         root = tmp_path / "journals"
 
@@ -355,6 +400,23 @@ class TestLifecycleEdges:
         assert 0 < status.measured < 6  # stopped partway, not at the end
         assert interrupted  # stream ended without CampaignFinished
 
+    def test_cancelled_campaign_leaves_marked_summary(self, tmp_path):
+        out = tmp_path / "svc"
+
+        async def main():
+            service = CampaignService(fleet_size=1, shard_pairs=1)
+            await service.start()
+            campaign_id = await service.submit(
+                _request(11, output_dir=str(out))
+            )
+            cancelled = await _measured_then_cancel(service, campaign_id, 1)
+            await service.stop()
+            return cancelled
+
+        assert asyncio.run(main())
+        [summary] = out.glob("summary_*.csv")
+        assert summary_interrupted(summary)
+
     def test_cancel_after_completion_returns_false(self):
         async def main():
             service = CampaignService(fleet_size=2)
@@ -392,15 +454,15 @@ class TestLifecycleEdges:
         ref = _standalone(11, output_dir=str(tmp_path / "ref"))
 
         async def main():
-            service = CampaignService(fleet_size=2)
+            service = CampaignService(
+                fleet_size=2,
+                policy=SupervisionPolicy(
+                    inject_faults="raise@1", retry_backoff_s=0.0
+                ),
+            )
             await service.start()
             campaign_id = await service.submit(
-                _request(
-                    11,
-                    inject_faults="raise@1",
-                    retry_backoff_s=0.0,
-                    output_dir=str(tmp_path / "svc"),
-                )
+                _request(11, output_dir=str(tmp_path / "svc"))
             )
             result = await service.result(campaign_id)
             retries = [
@@ -431,6 +493,27 @@ class TestLifecycleEdges:
             await service.stop()
 
         asyncio.run(main())
+
+
+class TestRequestOutputDir:
+    def test_output_dir_equals_batch_writer(self, tmp_path):
+        # A request's output_dir streams through the executor's
+        # CsvStreamSink; the files equal the batch writer's.
+        async def main():
+            service = CampaignService(fleet_size=2, shard_pairs=2)
+            await service.start()
+            campaign_id = await service.submit(
+                _request(11, output_dir=str(tmp_path / "svc"))
+            )
+            result = await service.result(campaign_id)
+            await service.stop()
+            return result
+
+        result = asyncio.run(main())
+        write_campaign_csvs(tmp_path / "batch", result)
+        streamed = _csv_bytes(tmp_path / "svc")
+        assert streamed == _csv_bytes(tmp_path / "batch")
+        assert len(streamed) == 7  # six pairs + summary
 
 
 class TestSharedCalibrationCache:
@@ -557,6 +640,11 @@ class TestRequestValidation:
         with pytest.raises(ConfigError, match="job_timeout_s"):
             CampaignRequest(config={"job_timeout_s": 1.0})
 
+    def test_service_policy_refuses_a_job_deadline(self):
+        # Shards run on fleet threads, which no deadline can pre-empt.
+        with pytest.raises(ConfigError, match="job_timeout_s"):
+            CampaignService(policy=SupervisionPolicy(job_timeout_s=1.0))
+
     def test_tenant_and_weight_validated(self):
         with pytest.raises(ConfigError, match="tenant"):
             CampaignRequest(tenant="")
@@ -575,8 +663,3 @@ class TestRequestValidation:
         config = _request(0).build_config()
         assert isinstance(config.frequencies, tuple)
         assert config.frequencies == SM_FREQS
-
-    def test_request_config_overrides_service_defaults(self):
-        request = _request(0, calibration_cache=None)
-        config = request.build_config(calibration_cache="/shared/cache")
-        assert config.calibration_cache is None

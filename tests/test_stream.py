@@ -35,6 +35,7 @@ from repro.core.stream import (
     StreamDispatcher,
 )
 from repro.errors import CampaignInterrupted, MeasurementError
+from repro.exec.jobs import SupervisionPolicy
 from tests.conftest import fast_config
 from tests.test_exec_engine import _campaign_fingerprint, _csv_bytes
 
@@ -277,8 +278,9 @@ class TestCsvStreamSink:
         with pytest.raises(CampaignInterrupted):
             run_campaign(
                 make_machine("A100", seed=77),
-                _axis_config("sm_core", inject_faults="interrupt@2"),
+                _axis_config("sm_core"),
                 workers=1,
+                policy=SupervisionPolicy(inject_faults="interrupt@2"),
                 sinks=(sink,),
             )
         names = sorted(p.name for p in (tmp_path / "stream").glob("*.csv"))
@@ -307,8 +309,9 @@ class TestResumeReplay:
         with pytest.raises(CampaignInterrupted):
             run_campaign(
                 make_machine("A100", seed=4242),
-                _axis_config("sm_core", inject_faults="interrupt@2"),
+                _axis_config("sm_core"),
                 workers=1,
+                policy=SupervisionPolicy(inject_faults="interrupt@2"),
                 journal=journal,
             )
         rec = RecordingSink()

@@ -40,10 +40,11 @@ class TestSweeps:
                 (705.0, 1410.0),
                 min_measurements=4,
                 max_measurements=5,
-                output_dir=str(out),
             )
             machine = make_machine("A100", n_gpus=2, seed=21)
-            results = sweep_devices(machine, config, device_indices=indices)
+            results = sweep_devices(
+                machine, config, device_indices=indices, output_dir=str(out)
+            )
             return {
                 r.device_index: (
                     {
