@@ -269,7 +269,8 @@ def campaign_request(
     ``request_fields`` are the request's tenancy fields (``tenant``,
     ``weight``); ``--output-dir`` becomes the request's ``output_dir``.
     Malformed lists and flags that do not apply to the chosen axis exit
-    with a :class:`SystemExit`.
+    with a :class:`SystemExit`; a value the config rejects raises
+    :class:`~repro.errors.ConfigError` from the request's construction.
     """
     axis = _AXES[args.axis]
     freqs = parse_frequencies(args.frequencies, label=_AXIS_VALUES[axis])
@@ -315,10 +316,10 @@ def campaign_request(
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    request = campaign_request(args)
     if args.resume and args.journal is None:
         raise SystemExit("--resume needs --journal DIR")
     try:
+        request = campaign_request(args)
         config = replace(
             request.build_config(),
             kernel_memory_intensity=args.kernel_memory_intensity,

@@ -18,8 +18,7 @@ Every engine campaign calibrates each facet on a blueprint replica
 :func:`calibration_fingerprint` is the canonical content digest
 (:mod:`repro.core.fingerprint`) of exactly those inputs, minus the
 config fields phase 1 and the probe never read: the per-pair
-measurement knobs (stopping rule, per-pair window policy, per-pair
-resilience, outlier labelling).  Execution settings (worker count,
+stopping rule and window policy.  Execution settings (worker count,
 supervision policy, journal, CSV output, the cache directory itself) are
 not config fields, so they never reach the key.  So worker-count
 changes, journal resumes and phase-2/3 tuning all still hit, and a
@@ -60,8 +59,9 @@ __all__ = [
 ]
 
 #: cache entry format version (bump on incompatible entry or key changes;
-#: 2 = replica-only calibration keyed by its start time)
-CALIB_CACHE_VERSION = 2
+#: 2 = replica-only calibration keyed by its start time; 3 = the fixed
+#: internals are :mod:`repro.core.config` constants, not fields)
+CALIB_CACHE_VERSION = 3
 
 #: config fields that cannot affect the phase-1 characterization or the
 #: probe window-sizing stage: the knobs only the per-pair phase-2/3
@@ -77,15 +77,7 @@ _CALIBRATION_EXCLUDED = frozenset(
         "max_measurements",
         "rse_check_every",
         # per-pair window sizing (the probe uses probe_window_s directly)
-        "switch_window_factor",
         "window_policy",
-        # per-pair measurement-loop resilience
-        "throttle_check_every",
-        "throttle_backoff_s",
-        "throttle_discard_count",
-        "max_consecutive_failures",
-        # per-pair outlier labelling (Algorithm 3)
-        "outlier_config",
     }
 )
 

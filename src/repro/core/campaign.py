@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.clustering.adaptive import adaptive_dbscan
-from repro.core.config import LatestConfig
+from repro.core.config import (
+    MAX_WINDOW_RETRIES,
+    PROBE_PAIR_COUNT,
+    SWITCH_WINDOW_FACTOR,
+    WINDOW_GROWTH_FACTOR,
+    LatestConfig,
+)
 from repro.core.context import BenchContext
 from repro.core.passblock import run_pass_blocks
 from repro.core.phase1 import Phase1Result
@@ -93,11 +99,11 @@ def _probe_pairs(
     preferred = [(lo, hi), (hi, lo), (mid, hi), (hi, mid), (lo, mid)]
     chosen = [p for p in preferred if p in set(valid)]
     for p in valid:
-        if len(chosen) >= config.probe_pair_count:
+        if len(chosen) >= PROBE_PAIR_COUNT:
             break
         if p not in chosen:
             chosen.append(p)
-    return chosen[: config.probe_pair_count]
+    return chosen[:PROBE_PAIR_COUNT]
 
 
 def probe_windows(bench: BenchContext, phase1: Phase1Result) -> ProbeInfo:
@@ -108,7 +114,7 @@ def probe_windows(bench: BenchContext, phase1: Phase1Result) -> ProbeInfo:
     for init, target in _probe_pairs(cfg, phase1):
         window_s = cfg.probe_window_s
         latency = None
-        for _ in range(cfg.max_window_retries + 1):
+        for _ in range(MAX_WINDOW_RETRIES + 1):
             iters = _iters_for_window(bench, window_s, init, target, kernel)
             try:
                 raw = run_switch_benchmark(bench, init, target, kernel, iters)
@@ -119,7 +125,7 @@ def probe_windows(bench: BenchContext, phase1: Phase1Result) -> ProbeInfo:
                 latency = ev.latency_s
                 break
             if ev.window_too_short:
-                window_s *= cfg.window_growth_factor
+                window_s *= WINDOW_GROWTH_FACTOR
         if latency is not None:
             latencies.append(latency)
     if not latencies:
@@ -157,7 +163,7 @@ def _initial_window_iters(
         if cfg.window_policy == "probe-max"
         else probe.median_latency_s
     )
-    window_s = max(cfg.switch_window_factor * base, 2e-3)
+    window_s = max(SWITCH_WINDOW_FACTOR * base, 2e-3)
     return _iters_for_window(bench, window_s, init_mhz, target_mhz, kernel)
 
 
@@ -182,7 +188,6 @@ def measure_pair(
     pair = run_pass_blocks(bench, init_mhz, target_mhz, phase1, window_iters)
     if len(pair.measurements) >= _MIN_FOR_OUTLIER_FILTER:
         pair.outliers = adaptive_dbscan(
-            [m.latency_s for m in pair.measurements],
-            bench.config.outlier_config,
+            [m.latency_s for m in pair.measurements]
         )
     return pair

@@ -3,22 +3,55 @@
 The mandatory argument is the comma-separated benchmark frequency list; the
 optional arguments reproduced here are the device index, the RSE threshold
 (default 5 %), and the minimum/maximum switching-latency measurement
-counts.  Everything else parameterizes the methodology internals with the
-paper's defaults.  Every field can change a result; how a campaign runs
-(workers, journal, supervision, CSV output, calibration cache) is set on
-the executor (:mod:`repro.exec.engine`), not here.
+counts.  :class:`LatestConfig` holds what a caller sets, and every field
+can change a result; the module constants are the methodology's fixed
+internals at the paper's values.  How a campaign runs (workers, journal,
+supervision, CSV output, calibration cache) is set on the executor
+(:mod:`repro.exec.engine`), not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.clustering.adaptive import AdaptiveDbscanConfig
 from repro.core.axis import MeasurementAxis, axis_by_name
 from repro.errors import ConfigError
 from repro.stats.rse import RseStoppingRule
 
 __all__ = ["LatestConfig"]
+
+# ----- the methodology's fixed internals (paper Secs. V and VI) ---------
+#: switch window = this factor times the longest probe latency
+SWITCH_WINDOW_FACTOR = 10.0
+#: probe pairs used for window estimation (small/medium/high levels)
+PROBE_PAIR_COUNT = 3
+#: growth factor and retry budget when a latency is not captured
+WINDOW_GROWTH_FACTOR = 10.0
+MAX_WINDOW_RETRIES = 2
+#: give up on settling after this much busy time (counts as a failed
+#: attempt; pathological initial frequencies exist, see GH200)
+MAX_SETTLE_S = 3.0
+#: confidence level of the difference intervals (phases 1 and 3)
+CONFIDENCE = 0.95
+#: width of the acceptance band in standard deviations (Sec. V-A)
+DETECTION_SIGMAS = 2.0
+#: relative tolerance on the tail-vs-target mean difference (the ``tol``
+#: input of Algorithm 2)
+TOLERANCE_REL = 0.02
+#: minimum tail length for a trustworthy confirmation test
+MIN_CONFIRM_TAIL = 30
+#: phase-1 workload growth retries for indistinguishable pairs
+MAX_WORKLOAD_GROWTH = 2
+WORKLOAD_GROWTH_FACTOR = 2.0
+#: IEEE-1588 two-way exchanges per handshake (minimum-delay round kept)
+PTP_ROUNDS = 16
+#: throttle check every five passes; thermal throttling discards the
+#: newest five measurements and backs off ten seconds
+THROTTLE_CHECK_EVERY = 5
+THROTTLE_BACKOFF_S = 10.0
+THROTTLE_DISCARD_COUNT = 5
+#: consecutive evaluation failures before the pair is abandoned
+MAX_CONSECUTIVE_FAILURES = 12
 
 
 @dataclass(frozen=True)
@@ -74,60 +107,24 @@ class LatestConfig:
     #: identification iterations after the switch window ("several hundred
     #: up to a thousand", Sec. V)
     confirm_iterations: int = 300
-    #: switch window = this factor times the longest probe latency
-    switch_window_factor: float = 10.0
-    #: probe pairs used for window estimation (small/medium/high levels)
-    probe_pair_count: int = 3
-    #: growth factor and retry budget when a latency is not captured
-    window_growth_factor: float = 10.0
-    max_window_retries: int = 2
     #: "probe-max" sizes every pair's window from the probe maximum (the
     #: paper's rule); "adaptive" starts from the probe median and relies on
     #: window growth, trading fidelity for speed on pathological pairs
     window_policy: str = "adaptive"
-    #: fixed settle time on the initial frequency before the benchmark
-    #: kernel; None enables NVML clock polling between filler chunks
-    init_settle_s: float | None = None
     #: filler chunk length while polling for the initial clock to settle
     settle_chunk_s: float = 0.12
-    #: give up on settling after this much busy time (counts as a failed
-    #: attempt; pathological initial frequencies exist, see GH200)
-    max_settle_s: float = 3.0
     #: switch-window length used by the probe measurements
     probe_window_s: float = 0.8
 
     # ----- statistics --------------------------------------------------
-    alpha: float = 0.05
-    confidence: float = 0.95
-    #: width of the acceptance band in standard deviations (Sec. V-A)
-    detection_sigmas: float = 2.0
     #: "two-sigma" (the paper's criterion) or "confidence-interval"
     #: (FTaLaT's criterion, kept for the ablation of Sec. V-A)
     detection_criterion: str = "two-sigma"
-    #: relative tolerance on the tail-vs-target mean difference (the ``tol``
-    #: input of Algorithm 2)
-    tolerance_rel: float = 0.02
-    #: minimum tail length for a trustworthy confirmation test
-    min_confirm_tail: int = 30
-    #: phase-1 workload growth retries for indistinguishable pairs
-    max_workload_growth: int = 2
-    workload_growth_factor: float = 2.0
 
     # ----- timer synchronization ----------------------------------------
     #: transport model for the IEEE-1588 handshake; None uses the default
     #: near-symmetric PCIe link (override to study sync-error impact)
     ptp_link: "PtpLink | None" = None  # noqa: F821 - forward ref
-    ptp_rounds: int = 16
-
-    # ----- resilience ---------------------------------------------------
-    throttle_check_every: int = 5
-    throttle_backoff_s: float = 10.0
-    throttle_discard_count: int = 5
-    #: consecutive evaluation failures before the pair is abandoned
-    max_consecutive_failures: int = 12
-
-    # ----- outlier filtering (Algorithm 3) ------------------------------
-    outlier_config: AdaptiveDbscanConfig = field(default_factory=AdaptiveDbscanConfig)
 
     def __post_init__(self) -> None:
         axis_by_name(self.axis)  # validates the axis name
@@ -223,16 +220,6 @@ class LatestConfig:
             for b in self.frequencies
             if a != b
         ]
-
-    def memory_plan(self) -> tuple[float | None, ...]:
-        """Memory clocks the campaign visits, in order.
-
-        ``(None,)`` for legacy campaigns — the sentinel means "whatever the
-        device booted at, never touched".
-        """
-        if self.memory_frequencies is None:
-            return (None,)
-        return self.memory_frequencies
 
     def locked_sm_plan(self) -> tuple[float, ...] | None:
         """Locked-SM facet plan of a multi-facet swept-axis campaign.

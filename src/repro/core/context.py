@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.axis import MeasurementAxis
-from repro.core.config import LatestConfig
+from repro.core.config import MAX_SETTLE_S, LatestConfig
 from repro.cuda.kernel import MicrobenchmarkKernel
 from repro.cuda.runtime import CudaContext
 from repro.gpusim.device import GpuDevice
@@ -147,7 +147,7 @@ class BenchContext:
         SM relock, so the campaign must not characterize or measure before
         the P-state actually arrived.  Mirrors :meth:`settle_on`: filler
         chunks alternate with NVML memory-clock polls, bounded by
-        ``max_settle_s`` of busy time.
+        ``MAX_SETTLE_S`` of busy time.
         """
         self.handle.set_memory_locked_clocks(mem_mhz, mem_mhz)
         if abs(self.handle.clock_info_mem_mhz() - mem_mhz) < 1.0:
@@ -172,7 +172,7 @@ class BenchContext:
         or measure before the cap actually arrived.  Mirrors
         :meth:`settle_on`: filler chunks alternate with NVML SM-clock
         polls (the enforced cap is observable as the effective clock),
-        bounded by ``max_settle_s`` of busy time.
+        bounded by ``MAX_SETTLE_S`` of busy time.
         """
         self.handle.set_power_limit(limit_w)
         expected = self.power_capped_sm_mhz(limit_w)
@@ -185,22 +185,18 @@ class BenchContext:
 
         Locks the clock, then alternates filler workload chunks with NVML
         ``clock_info`` polls until the effective SM clock matches the
-        request.  Bounded by ``max_settle_s`` of busy time — transitions
+        request.  Bounded by ``MAX_SETTLE_S`` of busy time — transitions
         *into* some frequencies are themselves pathologically slow (GH200's
         special target bands), and both phase 1 (characterization) and
         phase 2 (initial condition) must not proceed before the clock is
         actually there.
         """
-        cfg = self.config
         self.set_frequency(freq_mhz)
-        if cfg.init_settle_s is not None:
-            self.run_filler(cfg.init_settle_s, freq_mhz)
-            return True
         return self._poll_settle(self.handle.clock_info_sm_mhz, freq_mhz)
 
     def _poll_settle(self, read_mhz, target: float) -> bool:
         """Filler chunks alternating with NVML polls until the readback
-        reaches ``target``, bounded by ``max_settle_s`` of busy time.
+        reaches ``target``, bounded by ``MAX_SETTLE_S`` of busy time.
 
         The shared settle loop of every clock actuator (SM lock, memory
         P-state, enforced power cap — the latter observed through the
@@ -209,7 +205,7 @@ class BenchContext:
         """
         cfg = self.config
         waited = 0.0
-        while waited < cfg.max_settle_s:
+        while waited < MAX_SETTLE_S:
             self.run_filler(cfg.settle_chunk_s, target)
             waited += cfg.settle_chunk_s
             if abs(read_mhz() - target) < 1.0:

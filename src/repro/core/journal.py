@@ -76,8 +76,9 @@ __all__ = [
 ]
 
 #: journal format version (bump on incompatible layout or key changes;
-#: 2 = canonical fingerprint, every engine campaign calibrates on replicas)
-JOURNAL_VERSION = 2
+#: 2 = canonical fingerprint, every engine campaign calibrates on replicas;
+#: 3 = the fixed internals are :mod:`repro.core.config` constants, not fields)
+JOURNAL_VERSION = 3
 
 #: frame header: payload length, CRC32 of the payload
 _FRAME = struct.Struct("<II")

@@ -55,6 +55,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import (
+    MAX_CONSECUTIVE_FAILURES,
+    MAX_WINDOW_RETRIES,
+    THROTTLE_BACKOFF_S,
+    THROTTLE_CHECK_EVERY,
+    THROTTLE_DISCARD_COUNT,
+    WINDOW_GROWTH_FACTOR,
+)
 from repro.core.context import BenchContext
 from repro.core.phase2 import RawSwitchData, run_switch_benchmark
 from repro.core.phase3 import (
@@ -180,7 +188,7 @@ class PairBlockRunner:
     # 1. speculate: simulate up to one block of passes, deferring evaluation
     # ------------------------------------------------------------------
     def speculate(self) -> None:
-        bench, cfg, machine = self.bench, self.cfg, self.machine
+        bench, machine = self.bench, self.machine
         block = plan_block_size(
             len(self.pair.measurements), self.rule, PASS_BLOCK_CAP
         )
@@ -198,7 +206,7 @@ class PairBlockRunner:
                 events.append(
                     _BlockEvent("settle-fail", None, machine.checkpoint())
                 )
-                if spec_consecutive >= cfg.max_consecutive_failures:
+                if spec_consecutive >= MAX_CONSECUTIVE_FAILURES:
                     break
                 continue
             spec_passes += 1
@@ -207,7 +215,7 @@ class PairBlockRunner:
             # poll taken during the pass — nothing deferred — so it runs
             # eagerly at the exact scalar cadence.  SW_POWER_CAP is masked
             # on the power-cap axis (it is the measured signal there).
-            if spec_passes % cfg.throttle_check_every == 0:
+            if spec_passes % THROTTLE_CHECK_EVERY == 0:
                 reasons = raw.throttle_reasons
                 if reasons & (
                     ThrottleReasons.SW_POWER_CAP & ~bench.axis.benign_throttle
@@ -219,7 +227,7 @@ class PairBlockRunner:
                 if reasons & (
                     ThrottleReasons.SW_THERMAL | ThrottleReasons.HW_THERMAL
                 ):
-                    bench.host.sleep(cfg.throttle_backoff_s)
+                    bench.host.sleep(THROTTLE_BACKOFF_S)
                     events.append(
                         _BlockEvent("throttle-thermal", raw, machine.checkpoint())
                     )
@@ -243,7 +251,7 @@ class PairBlockRunner:
         ``evaluations`` must hold one :class:`SwitchEvaluation` per entry
         of :attr:`pending_raws`, in order.
         """
-        cfg, machine, pair = self.cfg, self.machine, self.pair
+        machine, pair = self.machine, self.pair
         events = self._events
         self._events = []
         evaluations = iter(evaluations)
@@ -253,7 +261,7 @@ class PairBlockRunner:
             if event.kind == "settle-fail":
                 pair.n_failed_attempts += 1
                 self.consecutive_failures += 1
-                if self.consecutive_failures >= cfg.max_consecutive_failures:
+                if self.consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
                     pair.skipped = True
                     pair.skip_reason = "initial-frequency-never-settled"
                     if not is_last:
@@ -273,7 +281,7 @@ class PairBlockRunner:
 
             if event.kind == "throttle-thermal":
                 self.passes += 1
-                drop = min(cfg.throttle_discard_count, len(pair.measurements))
+                drop = min(THROTTLE_DISCARD_COUNT, len(pair.measurements))
                 if drop:
                     del pair.measurements[-drop:]
                 pair.n_throttle_discards += drop
@@ -309,9 +317,9 @@ class PairBlockRunner:
             # speculated suffix is still valid.
             pair.n_failed_attempts += 1
             self.consecutive_failures += 1
-            if ev.window_too_short and self.growths < cfg.max_window_retries:
+            if ev.window_too_short and self.growths < MAX_WINDOW_RETRIES:
                 self.window_iters = int(
-                    math.ceil(self.window_iters * cfg.window_growth_factor)
+                    math.ceil(self.window_iters * WINDOW_GROWTH_FACTOR)
                 )
                 self.growths += 1
                 pair.n_window_growths += 1
@@ -320,7 +328,7 @@ class PairBlockRunner:
                 if not is_last:
                     machine.restore(event.checkpoint)
                 break
-            if self.consecutive_failures >= cfg.max_consecutive_failures:
+            if self.consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
                 if not pair.measurements:
                     pair.skipped = True
                     pair.skip_reason = "no-viable-measurements"

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+from repro.core.config import CONFIDENCE, MAX_WORKLOAD_GROWTH, WORKLOAD_GROWTH_FACTOR
 from repro.core.context import BenchContext
 from repro.cuda.kernel import MicrobenchmarkKernel
 from repro.errors import MeasurementError
@@ -155,8 +156,8 @@ def run_phase1(bench: BenchContext) -> Phase1Result:
             for a, b in cfg.pairs()
             if a not in unreachable and b not in unreachable
         ]
-        valid, rejected = validate_pairs(characterizations, pairs, cfg.confidence)
-        if not rejected or growth >= cfg.max_workload_growth:
+        valid, rejected = validate_pairs(characterizations, pairs, CONFIDENCE)
+        if not rejected or growth >= MAX_WORKLOAD_GROWTH:
             return Phase1Result(
                 characterizations=characterizations,
                 valid_pairs=valid,
@@ -168,4 +169,4 @@ def run_phase1(bench: BenchContext) -> Phase1Result:
         # Indistinguishable pairs: grow per-iteration work and retry
         # (paper Sec. IV / Algorithm 1 commentary).
         growth += 1
-        kernel = kernel.scaled(iteration_factor=cfg.workload_growth_factor)
+        kernel = kernel.scaled(iteration_factor=WORKLOAD_GROWTH_FACTOR)

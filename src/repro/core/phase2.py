@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import MAX_SETTLE_S, PTP_ROUNDS
 from repro.core.context import BenchContext
 from repro.cuda.kernel import MicrobenchmarkKernel
 from repro.gpusim.dvfs import TransitionRecord
@@ -127,14 +128,14 @@ def run_switch_benchmark(
 
     # (1) timer synchronization
     sync = synchronize_timers(
-        bench.host, bench.device, rounds=cfg.ptp_rounds, link=cfg.ptp_link
+        bench.host, bench.device, rounds=PTP_ROUNDS, link=cfg.ptp_link
     )
 
     # (2) settle on the initial frequency under sustained load
     if not bench.settle_swept(init_mhz):
         raise MeasurementError(
             f"{bench.axis.describe()} did not settle on {init_mhz:g} "
-            f"{bench.axis.unit} within {cfg.max_settle_s:g} s of load"
+            f"{bench.axis.unit} within {MAX_SETTLE_S:g} s of load"
         )
 
     # (3) benchmark kernel: delay + window + confirmation iterations

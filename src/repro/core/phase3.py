@@ -38,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import LatestConfig
+from repro.core.config import (
+    CONFIDENCE,
+    DETECTION_SIGMAS,
+    MIN_CONFIRM_TAIL,
+    TOLERANCE_REL,
+    LatestConfig,
+)
 from repro.core.phase2 import RawSwitchData
 from repro.errors import ConfigError
 from repro.stats.descriptive import SampleStats
@@ -120,11 +126,11 @@ def detection_band(
 ) -> tuple[float, float]:
     """Acceptance band for "this iteration runs at the target frequency"."""
     if cfg.detection_criterion == "two-sigma":
-        return two_sigma_band(target_stats, cfg.detection_sigmas)
+        return two_sigma_band(target_stats, DETECTION_SIGMAS)
     if cfg.detection_criterion == "confidence-interval":
         # FTaLaT's criterion: mean +/- 2 standard *errors*.  Shrinks to
         # nothing as n grows — kept for the Sec. V-A ablation.
-        half = cfg.detection_sigmas * target_stats.stderr
+        half = DETECTION_SIGMAS * target_stats.stderr
         return target_stats.mean - half, target_stats.mean + half
     raise ConfigError(f"unknown detection criterion {cfg.detection_criterion!r}")
 
@@ -213,7 +219,6 @@ def _classify(
     detected: np.ndarray,
     first: np.ndarray,
     n_iter: int,
-    cfg: LatestConfig,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Pre-confirmation SM statuses, short-tail mask and tail cuts.
 
@@ -225,7 +230,7 @@ def _classify(
     status[~has_post] = int(SmStatus.NO_POST_SWITCH)
     cut = first + 1
     n_tail = n_iter - np.clip(cut, 0, n_iter)
-    short = detected & (n_tail < cfg.min_confirm_tail)
+    short = detected & (n_tail < MIN_CONFIRM_TAIL)
     status[detected] = int(SmStatus.CONFIRMATION_FAILED)
     status[short] = int(SmStatus.SHORT_TAIL)
     return status, short, cut
@@ -309,7 +314,7 @@ def evaluate_switch(
     diffs, ends, ts, has_post, detected, first = _detect(raw, target_stats, cfg)
     return _confirm_and_finish(
         diffs[None], ends[None], [ts], has_post[None], detected[None],
-        first[None], target_stats, cfg,
+        first[None], target_stats,
     )[0]
 
 
@@ -385,8 +390,7 @@ def evaluate_switch_block_deferred(
             break
 
     return _confirm_and_finish(
-        diffs, ends, list(ts_acc), has_post, found, first,
-        target_stats, cfg,
+        diffs, ends, list(ts_acc), has_post, found, first, target_stats
     )
 
 
@@ -398,7 +402,6 @@ def _confirm_and_finish(
     detected: np.ndarray,
     first: np.ndarray,
     target_stats: SampleStats,
-    cfg: LatestConfig,
 ) -> list[SwitchEvaluation]:
     """Confirmation + per-pass epilogue over block arrays.
 
@@ -409,7 +412,7 @@ def _confirm_and_finish(
     block of one).
     """
     n_pass, n_sm, n_iter = diffs.shape
-    status, short, cut = _classify(has_post, detected, first, n_iter, cfg)
+    status, short, cut = _classify(has_post, detected, first, n_iter)
 
     # Confirmation: difference CI of (tail - target) includes zero, or the
     # mean difference is inside the relative tolerance (Algorithm 2 l. 20).
@@ -439,9 +442,9 @@ def _confirm_and_finish(
             tail_var += [x * x for x in std]
             tail_n += n
         lb, hb = difference_ci_batch(
-            tail_mean, tail_var, tail_n, target_stats, cfg.confidence
+            tail_mean, tail_var, tail_n, target_stats, CONFIDENCE
         )
-        tol = cfg.tolerance_rel * target_stats.mean
+        tol = TOLERANCE_REL * target_stats.mean
         ok = ((lb < 0.0) & (0.0 < hb)) | (
             np.abs(np.asarray(tail_mean) - target_stats.mean) < tol
         )

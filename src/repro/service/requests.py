@@ -34,7 +34,7 @@ __all__ = ["CampaignRequest"]
 
 #: config fields that carry non-JSON payloads and therefore cannot be
 #: set through a service request
-_UNSERIALIZABLE = {"outlier_config", "ptp_link"}
+_UNSERIALIZABLE = {"ptp_link"}
 
 _CONFIG_FIELDS = {f.name for f in fields(LatestConfig)}
 
@@ -51,10 +51,10 @@ class CampaignRequest:
     """One tenant's campaign: machine recipe + config overrides.
 
     ``config`` holds :class:`~repro.core.config.LatestConfig` keyword
-    overrides exactly as a caller would pass them to the constructor;
-    unknown keys and non-JSON-serializable fields (``outlier_config``,
-    ``ptp_link``) are rejected at construction so a bad request fails
-    at submit time, not mid-campaign.
+    overrides exactly as a caller would pass them to the constructor.
+    Construction builds the config once, so unknown keys, the non-JSON
+    ``ptp_link`` and any value the config rejects fail at submit time
+    (:class:`~repro.errors.ConfigError`), never mid-campaign.
     """
 
     #: fair-share queue the campaign bills against
@@ -88,6 +88,7 @@ class CampaignRequest:
                 f"config fields {sorted(banned)} are not JSON-serializable "
                 "and cannot be set through a service request"
             )
+        self.build_config()
 
     # ------------------------------------------------------------------
     def build_machine(self) -> Machine:

@@ -206,8 +206,8 @@ class CampaignService:
         ``result.json`` — i.e. the previous service died (or was
         killed) before ``finish``; its journaled pairs replay and only
         the remainder is measured.  An in-flight ``request.json`` that
-        no longer parses is admitted as a ``failed`` campaign whose
-        status error names the parse error; it is not resumed.
+        no longer parses or builds is admitted as a ``failed`` campaign
+        whose status error names the error; it is not resumed.
         """
         self.scheduler.start()
         resumed: list[str] = []
@@ -222,7 +222,7 @@ class CampaignService:
                     request = CampaignRequest.from_json(
                         request_file.read_text()
                     )
-                except (ReproError, ValueError) as exc:
+                except (ReproError, ValueError, TypeError) as exc:
                     self._admit_unreadable(entry.name, exc)
                     continue
                 resumed.append(

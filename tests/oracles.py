@@ -33,7 +33,17 @@ from repro.core.campaign import (
     ProbeInfo,
     _initial_window_iters,
 )
-from repro.core.config import LatestConfig
+from repro.core.config import (
+    CONFIDENCE,
+    MAX_CONSECUTIVE_FAILURES,
+    MAX_WINDOW_RETRIES,
+    THROTTLE_BACKOFF_S,
+    THROTTLE_CHECK_EVERY,
+    THROTTLE_DISCARD_COUNT,
+    TOLERANCE_REL,
+    WINDOW_GROWTH_FACTOR,
+    LatestConfig,
+)
 from repro.core.context import BenchContext
 from repro.core.phase1 import Phase1Result
 from repro.core.phase2 import RawSwitchData, run_switch_benchmark
@@ -88,7 +98,7 @@ def measure_pair_reference(
         except MeasurementError:
             pair.n_failed_attempts += 1
             consecutive_failures += 1
-            if consecutive_failures >= cfg.max_consecutive_failures:
+            if consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
                 pair.skipped = True
                 pair.skip_reason = "initial-frequency-never-settled"
                 break
@@ -98,7 +108,7 @@ def measure_pair_reference(
         # Throttle handling (paper Sec. VI): every five passes.  On the
         # power-cap axis SW_POWER_CAP is the measured signal itself
         # (axis.benign_throttle), not a reason to abandon the pair.
-        if passes % cfg.throttle_check_every == 0:
+        if passes % THROTTLE_CHECK_EVERY == 0:
             reasons = raw.throttle_reasons
             if reasons & (
                 ThrottleReasons.SW_POWER_CAP & ~bench.axis.benign_throttle
@@ -107,11 +117,11 @@ def measure_pair_reference(
                 pair.skip_reason = "power-throttled"
                 break
             if reasons & (ThrottleReasons.SW_THERMAL | ThrottleReasons.HW_THERMAL):
-                drop = min(cfg.throttle_discard_count, len(pair.measurements))
+                drop = min(THROTTLE_DISCARD_COUNT, len(pair.measurements))
                 if drop:
                     del pair.measurements[-drop:]
                 pair.n_throttle_discards += drop
-                bench.host.sleep(cfg.throttle_backoff_s)
+                bench.host.sleep(THROTTLE_BACKOFF_S)
                 continue
 
         ev = evaluate_switch(raw, target_stats, cfg)
@@ -137,14 +147,14 @@ def measure_pair_reference(
         # otherwise simply repeat phases two and three.
         pair.n_failed_attempts += 1
         consecutive_failures += 1
-        if ev.window_too_short and growths < cfg.max_window_retries:
+        if ev.window_too_short and growths < MAX_WINDOW_RETRIES:
             window_iters = int(
-                math.ceil(window_iters * cfg.window_growth_factor)
+                math.ceil(window_iters * WINDOW_GROWTH_FACTOR)
             )
             growths += 1
             pair.n_window_growths += 1
             consecutive_failures = 0
-        elif consecutive_failures >= cfg.max_consecutive_failures:
+        elif consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
             if not pair.measurements:
                 pair.skipped = True
                 pair.skip_reason = "no-viable-measurements"
@@ -152,7 +162,7 @@ def measure_pair_reference(
 
     if len(pair.measurements) >= _MIN_FOR_OUTLIER_FILTER:
         pair.outliers = adaptive_dbscan(
-            [m.latency_s for m in pair.measurements], cfg.outlier_config
+            [m.latency_s for m in pair.measurements]
         )
     return pair
 
@@ -171,14 +181,14 @@ def evaluate_switch_reference(
     """
     diffs, ends, ts, has_post, detected, first = _detect(raw, target_stats, cfg)
     n_sm, n_iter = diffs.shape
-    status, short, _ = _classify(has_post, detected, first, n_iter, cfg)
+    status, short, _ = _classify(has_post, detected, first, n_iter)
 
     tail_mean, tail_std, n_tail = _suffix_stats(
         diffs, (first + 1).tolist(), list(range(n_sm))
     )
     confirm_rows = np.flatnonzero(detected & ~short)
     valid = np.zeros(n_sm, dtype=bool)
-    tol = cfg.tolerance_rel * target_stats.mean
+    tol = TOLERANCE_REL * target_stats.mean
     for i in confirm_rows:
         tail = SampleStats(
             n=n_tail[i],
@@ -187,7 +197,7 @@ def evaluate_switch_reference(
             minimum=0.0,
             maximum=0.0,
         )
-        lb, hb = difference_ci(tail, target_stats, cfg.confidence)
+        lb, hb = difference_ci(tail, target_stats, CONFIDENCE)
         if (lb < 0.0 < hb) or abs(tail.mean - target_stats.mean) < tol:
             valid[i] = True
 

@@ -155,8 +155,7 @@ class TestFingerprint:
             min_measurements=2,
             max_measurements=64,
             rse_check_every=9,
-            throttle_backoff_s=0.5,
-            max_consecutive_failures=11,
+            window_policy="probe-max",
         )
         assert (
             calibration_fingerprint(varied, bp, 0, None, _T0) == base
@@ -440,11 +439,13 @@ class TestColdWarmIdentity:
         assert warm.wall_virtual_s == cold.wall_virtual_s
 
     def test_entries_with_retired_fields_still_hit(self, tmp_path):
-        # Entries written before the dispatch cost forecast was deleted
-        # carry two more attributes: ``fixed_pass_s`` on the entry and
-        # ``pair_latencies`` on its probe.  Unpickling restores them
-        # into the instance ``__dict__``, the shape re-created here, and
-        # neither the key nor the replay may care.
+        # An entry pickled with attributes its classes no longer declare
+        # (the deleted dispatch cost forecast's ``fixed_pass_s`` on the
+        # entry and ``pair_latencies`` on its probe) still loads:
+        # unpickling restores them into the instance ``__dict__``, the
+        # shape re-created here, and neither the key nor the replay may
+        # care.  Entries written under an older ``CALIB_CACHE_VERSION``
+        # sit under other keys and miss once instead.
         cache_dir = tmp_path / "cc"
         cold, counts = _counted(
             run_campaign,
@@ -544,8 +545,7 @@ class TestParallelFacetCalibration:
                 min_measurements=2,
                 max_measurements=64,
                 rse_check_every=7,
-                throttle_backoff_s=0.9,
-                max_consecutive_failures=3,
+                window_policy="probe-max",
             ),
             0,
             1410.0,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import make_machine, run_campaign
+from repro.core import phase1
 from repro.gpusim.thermal import ThrottleReasons
 from tests.conftest import fast_config
 
@@ -191,13 +192,13 @@ class TestOutlierFiltering:
 
 
 class TestSkipPaths:
-    def test_indistinguishable_pair_skipped(self):
+    def test_indistinguishable_pair_skipped(self, monkeypatch):
         machine = make_machine("A100", seed=55)
         # Adjacent clocks with a coarse workload and no growth budget.
+        monkeypatch.setattr(phase1, "MAX_WORKLOAD_GROWTH", 0)
         config = fast_config(
             (1395.0, 1410.0),
             iteration_duration_s=10e-6,
-            max_workload_growth=0,
             min_measurements=4,
             max_measurements=6,
         )

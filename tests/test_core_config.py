@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import config as config_module
 from repro.core.config import LatestConfig
 from repro.errors import ConfigError
 from repro.exec.jobs import SupervisionPolicy
@@ -17,10 +18,16 @@ class TestValidation:
     def test_defaults_match_tool(self):
         cfg = config()
         assert cfg.rse_threshold == 0.05
-        assert cfg.throttle_check_every == 5
+        assert config_module.THROTTLE_CHECK_EVERY == 5
         assert cfg.rse_check_every == 25
-        assert cfg.detection_sigmas == 2.0
+        assert config_module.DETECTION_SIGMAS == 2.0
         assert cfg.detection_criterion == "two-sigma"
+
+    def test_fixed_internals_are_not_fields(self):
+        # The methodology's fixed internals are module constants; the
+        # constructor accepts only what a caller sets.
+        with pytest.raises(TypeError, match="throttle_check_every"):
+            config(throttle_check_every=5)
 
     def test_needs_two_frequencies(self):
         with pytest.raises(ConfigError):
@@ -98,9 +105,9 @@ class TestHelpers:
         assert rule.max_measurements == 50
         assert rule.check_every == 5
 
-    def test_memory_plan_legacy_sentinel(self):
-        assert config().memory_plan() == (None,)
+    def test_facet_plan_legacy_sentinel(self):
+        assert config().facet_plan() == (None,)
         assert config(
             memory_frequencies=(1215.0, 810.0)
-        ).memory_plan() == (1215.0, 810.0)
+        ).facet_plan() == (1215.0, 810.0)
 

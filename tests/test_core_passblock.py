@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import make_machine, run_campaign
-from repro.core import passblock
+from repro.core import campaign, passblock
 from repro.core.campaign import measure_pair, probe_windows
 from repro.core.context import BenchContext
 from repro.core.passblock import plan_block_size
@@ -95,11 +95,11 @@ class TestBatchedScalarEquivalence:
     def test_window_growth_rollback(self, tmp_path, monkeypatch):
         """A tiny initial window forces growth — the mid-block divergence
         path that rolls speculation back through the ledger."""
+        monkeypatch.setattr(campaign, "SWITCH_WINDOW_FACTOR", 0.25)
         cfg = fast_config(
             (705.0, 1410.0),
             min_measurements=4,
             max_measurements=6,
-            switch_window_factor=0.25,
             window_policy="probe-max",
         )
         factory = lambda: make_machine("A100", seed=31)  # noqa: E731

@@ -91,7 +91,6 @@ class TestRunPhase1:
         cfg = fast_config(
             (1395.0, 1410.0),
             iteration_duration_s=20e-6,
-            max_workload_growth=2,
         )
         bench = BenchContext(a100_machine, cfg)
         result = run_phase1(bench)

@@ -21,11 +21,6 @@ class TestSettle:
         assert bench.settle_on(1410.0)
         assert bench.handle.clock_info_sm_mhz() == 1410.0
 
-    def test_fixed_settle_mode(self, a100_machine):
-        cfg = fast_config((705.0, 1410.0), init_settle_s=0.2)
-        bench = BenchContext(a100_machine, cfg)
-        assert bench.settle_on(705.0)
-
 
 class TestBenchmarkKernel:
     def test_iteration_budget(self, bench):

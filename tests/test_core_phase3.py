@@ -172,7 +172,7 @@ class TestSyntheticEvaluation:
         )
 
     def _config(self):
-        return fast_config((500.0, 1000.0), min_confirm_tail=5)
+        return fast_config((500.0, 1000.0))
 
     def test_clean_synthetic_transition(self):
         # 100 iterations of 1 ms then 200 of 2 ms; switch call at t=0.05 s.

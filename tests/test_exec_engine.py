@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import make_machine, run_campaign
+from repro.core import phase1
 from repro.errors import ConfigError
 from repro.exec import CampaignExecutor
 from repro.exec.jobs import pair_seed_sequence
@@ -116,12 +117,13 @@ class TestEngineSemantics:
         b = run_campaign(make_machine("A100", seed=2), cfg, workers=1)
         assert _campaign_fingerprint(a) != _campaign_fingerprint(b)
 
-    def test_skipped_pairs_preserved(self):
+    def test_skipped_pairs_preserved(self, monkeypatch):
+        # No workload-growth budget; fork workers inherit the patch.
+        monkeypatch.setattr(phase1, "MAX_WORKLOAD_GROWTH", 0)
         machine = make_machine("A100", seed=55)
         cfg = fast_config(
             (1395.0, 1410.0),
             iteration_duration_s=10e-6,
-            max_workload_growth=0,
             min_measurements=4,
             max_measurements=6,
         )

@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import make_machine, run_campaign
-from repro.core.calibcache import calibration_fingerprint
+from repro.core import config as config_module
+from repro.core.calibcache import CALIB_CACHE_VERSION, calibration_fingerprint
 from repro.core.config import LatestConfig
-from repro.core.journal import campaign_fingerprint
+from repro.core.journal import JOURNAL_VERSION, campaign_fingerprint
 from repro.errors import CampaignInterrupted
 from repro.exec.jobs import SupervisionPolicy
 from repro.gpusim.spec import GPU_MODELS, GpuSpec
@@ -81,11 +82,52 @@ def test_content_keys_are_pinned():
     config = LatestConfig(frequencies=(705.0, 1095.0, 1410.0))
     blueprint = make_machine("A100", seed=3).blueprint
     assert campaign_fingerprint(config, blueprint) == (
-        "6bbf932fe162536c061c5ae4d7e39dc0a59e05b751083b57c0b099b63b72b5f0"
+        "98af907ab5629b1705bb6ff2b343597a3bb986155538a2e8dff8c3b4c80628f0"
     )
     assert calibration_fingerprint(
         config, blueprint, 0, None, blueprint.start_time
-    ) == "74747aa66009a7271cd0c880d21c107e332827c7cee8594b9dd91a0c003e8c91"
+    ) == "e335f5c309ac24c6388daf787ee4618dacaaba45f5addb684d1617827f0198b1"
+
+
+#: the methodology's fixed internals (module constants of
+#: :mod:`repro.core.config`, not config fields) at the versions they
+#: were keyed under
+_PINNED_CONSTANTS = {
+    "SWITCH_WINDOW_FACTOR": 10.0,
+    "PROBE_PAIR_COUNT": 3,
+    "WINDOW_GROWTH_FACTOR": 10.0,
+    "MAX_WINDOW_RETRIES": 2,
+    "MAX_SETTLE_S": 3.0,
+    "CONFIDENCE": 0.95,
+    "DETECTION_SIGMAS": 2.0,
+    "TOLERANCE_REL": 0.02,
+    "MIN_CONFIRM_TAIL": 30,
+    "MAX_WORKLOAD_GROWTH": 2,
+    "WORKLOAD_GROWTH_FACTOR": 2.0,
+    "PTP_ROUNDS": 16,
+    "THROTTLE_CHECK_EVERY": 5,
+    "THROTTLE_BACKOFF_S": 10.0,
+    "THROTTLE_DISCARD_COUNT": 5,
+    "MAX_CONSECUTIVE_FAILURES": 12,
+}
+
+
+def test_fixed_internals_are_pinned_with_the_key_versions():
+    """The content keys hash config fields, not these constants.
+
+    Editing a constant changes results without moving any key, so a
+    journal or cache entry written before the edit would resume or hit
+    with stale results.  Change a value here only together with bumping
+    ``JOURNAL_VERSION`` and ``CALIB_CACHE_VERSION``.
+    """
+    current = {name: getattr(config_module, name) for name in _PINNED_CONSTANTS}
+    versions = (JOURNAL_VERSION, CALIB_CACHE_VERSION)
+    assert (current, versions) == (_PINNED_CONSTANTS, (3, 3)), (
+        "a fixed methodology constant or a key version changed: bump "
+        "JOURNAL_VERSION and CALIB_CACHE_VERSION, then update this pin"
+    )
+    constants = {name for name in vars(config_module) if name.isupper()}
+    assert constants == set(_PINNED_CONSTANTS), "pin every new constant"
 
 
 @given(

@@ -49,7 +49,6 @@ def test_campaign_after_other_campaigns_equals_a_fresh_process(tmp_path):
     gpu, seed, axis, values = FINAL
     config = _config(axis, values)
     fields = {name: getattr(config, name) for name in config.__dataclass_fields__}
-    fields.pop("outlier_config")  # the default; its repr is not a literal
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     fresh = subprocess.run(

@@ -342,6 +342,37 @@ class TestRestartResume:
         assert stale_status.state == "failed"
         assert "pass_block_size" in stale_status.error
 
+    def test_stored_request_with_a_bad_value_fails_once(self, tmp_path):
+        # A request.json holding a value the request or its config
+        # rejects is failed at start, not resumed (and failed again) on
+        # every restart, and does not stop the service from starting.
+        root = tmp_path / "journals"
+        bad_config = json.loads(_request(11).to_json())
+        bad_config["config"]["min_measurements"] = 1
+        bad_weight = json.loads(_request(22).to_json())
+        bad_weight["weight"] = "heavy"
+        for campaign_id, payload in (
+            ("c0001", bad_config),
+            ("c0002", bad_weight),
+        ):
+            (root / campaign_id).mkdir(parents=True)
+            (root / campaign_id / "request.json").write_text(
+                json.dumps(payload)
+            )
+
+        async def main():
+            service = CampaignService(fleet_size=1, journal_root=root)
+            resumed = await service.start()
+            statuses = [service.status(c) for c in ("c0001", "c0002")]
+            await service.stop()
+            return resumed, statuses
+
+        resumed, statuses = asyncio.run(main())
+        assert resumed == []
+        assert [s.state for s in statuses] == ["failed", "failed"]
+        assert "min_measurements" in statuses[0].error
+        assert "TypeError" in statuses[1].error
+
     def test_finished_campaigns_are_not_resumed(self, tmp_path):
         root = tmp_path / "journals"
 
@@ -622,6 +653,16 @@ class TestRequestValidation:
     def test_unknown_config_field_rejected_at_submit_time(self):
         with pytest.raises(ConfigError, match="unknown config"):
             CampaignRequest(config={"not_a_field": 1})
+
+    def test_fixed_internal_is_an_unknown_field(self):
+        with pytest.raises(ConfigError, match="throttle_check_every"):
+            _request(0, throttle_check_every=5)
+
+    def test_invalid_config_value_rejected_at_submit_time(self):
+        with pytest.raises(ConfigError, match="min_measurements"):
+            _request(0, min_measurements=1)
+        with pytest.raises(ConfigError, match="two benchmark frequencies"):
+            CampaignRequest(config={"frequencies": [705.0]})
 
     def test_wire_cannot_select_a_block_size(self):
         # The pass-block loop is the only per-pair loop: neither a tenant
