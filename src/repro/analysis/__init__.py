@@ -16,7 +16,6 @@ Each module maps to artifacts of the paper's evaluation (Sec. VII):
 
 from repro.analysis.advisor import RuntimeAdvisor
 from repro.analysis.clusters import ClusterReport, cluster_report
-from repro.analysis.compare import CampaignComparison, compare_campaigns
 from repro.analysis.grid_io import read_grid_csv, write_grid_csv
 from repro.analysis.distributions import DirectionSplit, split_by_direction
 from repro.analysis.heatmap import (
@@ -53,8 +52,6 @@ __all__ = [
     "score_recovery",
     "campaign_report",
     "write_campaign_report",
-    "CampaignComparison",
-    "compare_campaigns",
     "read_grid_csv",
     "write_grid_csv",
 ]

@@ -2,8 +2,8 @@
 
 All latencies in milliseconds.  Source: Table II and Sec. VII of
 arXiv:2502.20075.  The reproduction targets the *shape* of these values
-(ordering, factors, asymmetries), not exact milliseconds — see
-EXPERIMENTS.md.
+(ordering, factors, asymmetries), not exact milliseconds; the suite in
+``benchmarks/`` asserts that shape.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.core.axis import MeasurementAxis, axis_by_name
 from repro.errors import ConfigError
+from repro.stats.intervals import CONFIDENCE as CONFIDENCE
 from repro.stats.rse import RseStoppingRule
 
 __all__ = ["LatestConfig"]
@@ -31,8 +32,8 @@ MAX_WINDOW_RETRIES = 2
 #: give up on settling after this much busy time (counts as a failed
 #: attempt; pathological initial frequencies exist, see GH200)
 MAX_SETTLE_S = 3.0
-#: confidence level of the difference intervals (phases 1 and 3)
-CONFIDENCE = 0.95
+# CONFIDENCE, the level of the difference intervals (phases 1 and 3), is
+# imported above from repro.stats.intervals, beside its critical values.
 #: width of the acceptance band in standard deviations (Sec. V-A)
 DETECTION_SIGMAS = 2.0
 #: relative tolerance on the tail-vs-target mean difference (the ``tol``

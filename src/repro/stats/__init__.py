@@ -5,7 +5,6 @@ Implements the exact statistical machinery the paper builds on:
 * descriptive statistics with both batch and online (Welford) forms,
 * confidence intervals for means and for mean *differences* (the pair
   validation of Algorithm 1),
-* Welch t / z null-hypothesis tests (phase 1 and the phase-3 confirmation),
 * the two-standard-deviation acceptance band of Sec. V-A — the paper's key
   departure from FTaLaT's confidence-interval criterion,
 * the relative-standard-error stopping rule of the LATEST campaign loop.
@@ -13,12 +12,6 @@ Implements the exact statistical machinery the paper builds on:
 
 from repro.stats.descriptive import OnlineStats, SampleStats, quantile_range, summarize
 from repro.stats.intervals import difference_ci, mean_ci, two_sigma_band
-from repro.stats.hypothesis_tests import (
-    TestResult,
-    means_differ,
-    welch_t_test,
-    z_test,
-)
 from repro.stats.rse import RseStoppingRule, relative_standard_error
 
 __all__ = [
@@ -29,10 +22,6 @@ __all__ = [
     "mean_ci",
     "difference_ci",
     "two_sigma_band",
-    "TestResult",
-    "welch_t_test",
-    "z_test",
-    "means_differ",
     "relative_standard_error",
     "RseStoppingRule",
 ]

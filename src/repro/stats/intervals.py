@@ -9,34 +9,39 @@ The 2-sigma band instead reflects where individual execution times live
 (~95 % of them for near-normal noise), which is the right question when
 deciding "does this iteration already run at the target frequency?".
 
-Critical values are served from an LRU cache keyed on (confidence, Welch
-dof rounded to :data:`DOF_DECIMALS` decimals).  A full campaign issues
-thousands of ``difference_ci`` calls whose degrees of freedom cluster
-around a handful of values — uncached t-quantile calls used to account
-for roughly a quarter of campaign wall time.  Rounding the dof perturbs
-the critical value by less than 1e-6 relative (the t quantile varies
-slowly in dof), far below measurement noise; the cache is *exact* for the
-rounded dof, which the test suite asserts against scipy.
+Critical values are keyed on (confidence, Welch dof rounded to
+:data:`DOF_DECIMALS` decimals).  A full campaign issues thousands of
+``difference_ci`` calls; rounding the dof perturbs the critical value by
+less than 1e-6 relative (the t quantile varies slowly in dof), far below
+measurement noise, and the value is *exact* for the rounded dof, which the
+test suite asserts against scipy.
 
-The quantiles come from ``scipy.special.stdtrit`` (Student t) and
-``scipy.special.ndtri`` (normal): the functions that scipy's
-``t.ppf`` and ``norm.ppf`` distribution methods wrap, so the values are
-bit-identical to those methods, without importing the whole statistics
-package (most of a process's start-up time).
+The methodology runs at one confidence level, :data:`CONFIDENCE`, so its
+critical values come from a finite set: ``scipy.special.stdtrit`` at every
+rounded dof from 1 to :data:`NORMAL_DOF_CUTOFF` (Welch dof >= min(n) - 1
+>= 1), and one ``scipy.special.ndtri`` quantile above it.  Those ship as a
+committed table (``critical_values.npy``, written by
+``tools/gen_critical_values.py``) and a literal, so a campaign never
+imports scipy.  Any other (confidence, key) -- another confidence level,
+a NaN dof -- calls the same scipy functions, imported on that first miss
+and LRU-cached.  ``stdtrit`` and ``ndtri`` are the functions that scipy's
+``t.ppf`` and ``norm.ppf`` wrap, so every value is bit-identical to those
+methods.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy import special as sc
 
 from repro.errors import ConfigError
 from repro.stats.descriptive import SampleStats
 
 __all__ = [
+    "CONFIDENCE",
     "critical_value",
     "mean_ci",
     "difference_ci",
@@ -46,34 +51,60 @@ __all__ = [
     "welch_dof_batch",
 ]
 
-#: decimals the Welch dof is rounded to before the cache lookup
+#: decimals the Welch dof is rounded to before the lookup
 DOF_DECIMALS = 3
 #: above this dof the t distribution is indistinguishable from the normal
 NORMAL_DOF_CUTOFF = 200.0
+#: confidence level of the difference intervals (phases 1 and 3)
+CONFIDENCE = 0.95
+
+#: ``stdtrit(k / 10**DOF_DECIMALS, 0.5 + CONFIDENCE / 2)`` for every
+#: rounded dof ``k / 10**DOF_DECIMALS`` in [1, NORMAL_DOF_CUTOFF]
+T_CRITICAL_VALUES = np.load(Path(__file__).with_name("critical_values.npy"))
+#: ``ndtri(0.5 + CONFIDENCE / 2)``
+NORMAL_CRITICAL_VALUE = 1.959963984540054
+
+_SCALE = 10**DOF_DECIMALS
+_LAST_K = round(NORMAL_DOF_CUTOFF * _SCALE)
 
 
 @lru_cache(maxsize=65536)
-def _cached_critical_value(confidence: float, dof_rounded: float | None) -> float:
+def _scipy_critical_value(confidence: float, dof_rounded: float | None) -> float:
+    from scipy import special as sc
+
     tail = 0.5 + confidence / 2.0
     if dof_rounded is None:
         return float(sc.ndtri(tail))
     return float(sc.stdtrit(dof_rounded, tail))
 
 
-def critical_value(confidence: float, dof: float | None) -> float:
-    """Two-sided critical value for ``confidence`` at ``dof`` (LRU-cached).
+def _critical_value(confidence: float, dof_rounded: float | None) -> float:
+    """The table (or literal) at CONFIDENCE; scipy for any other key."""
+    if confidence == CONFIDENCE:
+        if dof_rounded is None:
+            return NORMAL_CRITICAL_VALUE
+        # NaN, a dof below 1 and a key off the rounding grid miss
+        if _SCALE <= dof_rounded * _SCALE <= _LAST_K:
+            k = round(dof_rounded * _SCALE)
+            if k / _SCALE == dof_rounded:
+                return float(T_CRITICAL_VALUES[k - _SCALE])
+    return _scipy_critical_value(confidence, dof_rounded)
 
-    ``dof`` is rounded to :data:`DOF_DECIMALS` decimals for the cache key;
+
+def critical_value(confidence: float, dof: float | None) -> float:
+    """Two-sided critical value for ``confidence`` at ``dof``.
+
+    ``dof`` is rounded to :data:`DOF_DECIMALS` decimals for the lookup;
     ``None`` or dof above :data:`NORMAL_DOF_CUTOFF` uses the normal
     distribution (the paper's large-sample regime).
     """
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
     if dof is None or dof > NORMAL_DOF_CUTOFF:
-        return _cached_critical_value(confidence, None)
+        return _critical_value(confidence, None)
     # np.round (not builtins.round) so scalar and batch callers agree on
-    # the cache key in the rare cases where the two roundings differ.
-    return _cached_critical_value(confidence, float(np.round(dof, DOF_DECIMALS)))
+    # the key in the rare cases where the two roundings differ.
+    return _critical_value(confidence, float(np.round(dof, DOF_DECIMALS)))
 
 
 def mean_ci(
@@ -151,7 +182,7 @@ def difference_ci_batch(
     Row ``i`` reproduces ``difference_ci(SampleStats(n=n_a[i],
     mean=mean_a[i], std=sqrt(var_a[i]), ...), b, confidence)`` bit for bit:
     the per-row arithmetic uses the same expressions, and critical values
-    come from the same rounded-dof cache (resolved once per distinct
+    come from the same rounded-dof lookup (resolved once per distinct
     rounded dof).
     """
     if b.n < 2:
@@ -172,12 +203,9 @@ def difference_ci_batch(
     )
     crit = np.empty_like(keys)
     for key in np.unique(keys):
-        value = (
-            _cached_critical_value(confidence, None)
-            if np.isinf(key)
-            else _cached_critical_value(confidence, float(key))
+        crit[keys == key] = _critical_value(
+            confidence, None if np.isinf(key) else float(key)
         )
-        crit[keys == key] = value
 
     diff = mean_a - b.mean
     return diff - crit * se, diff + crit * se

@@ -188,15 +188,6 @@ class TestGridCampaign:
         assert "@ mem 1215 MHz" in report
         assert "@ mem 810 MHz" in report
 
-    def test_compare_matches_facet_to_facet(self, grid_result):
-        from repro.analysis.compare import compare_campaigns
-
-        other = run_campaign(make_machine("A100", seed=12), mem_config())
-        comparison = compare_campaigns(grid_result, other)
-        # every (init, target, memory) grid point compares against its own
-        # facet — not collapsed onto one memory clock
-        assert len(comparison.pairs) == 4
-
     def test_per_memory_summaries(self, grid_result):
         rows = summarize_by_memory(grid_result)
         assert set(rows.keys()) == {1215.0, 810.0}

@@ -1,20 +1,32 @@
-"""Exactness of the cached critical values against scipy.
+"""Exactness of the critical values against scipy.
 
-The cache is keyed on (confidence, dof rounded to DOF_DECIMALS); for any
-key the stored value must be *exactly* what scipy computes for that
-rounded dof — the cache trades a sub-1e-6 dof perturbation for the lookup,
-never approximation of the quantile itself.
+Lookups are keyed on (confidence, dof rounded to DOF_DECIMALS); for any
+key the value must be *exactly* what scipy computes for that rounded dof
+— the rounding trades a sub-1e-6 dof perturbation for the lookup, never
+approximation of the quantile itself.  At CONFIDENCE the values come from
+the committed table, elsewhere from scipy, and both must agree.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import special as sc
 from scipy import stats as sps
 
 from repro.errors import ConfigError
+from repro.stats import intervals
 from repro.stats.descriptive import SampleStats
 from repro.stats.intervals import (
+    CONFIDENCE,
     DOF_DECIMALS,
+    NORMAL_CRITICAL_VALUE,
     NORMAL_DOF_CUTOFF,
+    T_CRITICAL_VALUES,
     critical_value,
     difference_ci,
     difference_ci_batch,
@@ -100,3 +112,61 @@ class TestBatchMatchesScalar:
             difference_ci_batch(
                 np.array([1.0]), np.array([0.01]), np.array([1]), b
             )
+
+
+class TestCommittedTable:
+    TAIL = 0.5 + CONFIDENCE / 2.0
+    SCALE = 10**DOF_DECIMALS
+
+    def test_every_entry_equals_scipy(self):
+        keys = np.arange(self.SCALE, round(NORMAL_DOF_CUTOFF * self.SCALE) + 1) / self.SCALE
+        expected = sc.stdtrit(keys, self.TAIL)
+        assert T_CRITICAL_VALUES.dtype == np.float64
+        differing = np.count_nonzero(T_CRITICAL_VALUES != expected)
+        assert differing == 0, (
+            f"{differing} of {expected.size} table entries differ from scipy "
+            f"{scipy.__version__}; tools/gen_critical_values.py made the table"
+        )
+
+    def test_domain_follows_the_rounding_and_the_cutoff(self):
+        # one entry per rounded dof from 1 to the cutoff, both included
+        assert T_CRITICAL_VALUES.shape == (
+            round((NORMAL_DOF_CUTOFF - 1.0) * self.SCALE) + 1,
+        )
+        assert T_CRITICAL_VALUES[0] == sc.stdtrit(1.0, self.TAIL)
+        assert T_CRITICAL_VALUES[-1] == sc.stdtrit(NORMAL_DOF_CUTOFF, self.TAIL)
+        meta = json.loads(
+            Path(intervals.__file__).with_name("critical_values.json").read_text()
+        )
+        assert (meta["first_dof"], meta["last_dof"], meta["entries"], meta["tail"]) == (
+            1.0,
+            NORMAL_DOF_CUTOFF,
+            T_CRITICAL_VALUES.size,
+            self.TAIL,
+        )
+
+    def test_normal_literal_equals_scipy(self):
+        assert NORMAL_CRITICAL_VALUE == float(sc.ndtri(self.TAIL))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_a=st.integers(2, 120),
+        n_b=st.integers(2, 120),
+        std_a=st.floats(1e-6, 1e-3),
+        std_b=st.floats(1e-6, 1e-3),
+    )
+    def test_table_and_scipy_paths_agree(self, n_a, n_b, std_a, std_b):
+        a = _stats(n_a, 1.0e-3, std_a)
+        b = _stats(n_b, 1.1e-3, std_b)
+        assume(welch_dof(a, b) <= NORMAL_DOF_CUTOFF)
+        args = (np.array([a.mean]), np.array([a.std * a.std]), np.array([a.n]), b)
+
+        with_table = (difference_ci(a, b, CONFIDENCE), difference_ci_batch(*args, CONFIDENCE))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "_critical_value", intervals._scipy_critical_value)
+            with_scipy = (
+                difference_ci(a, b, CONFIDENCE),
+                difference_ci_batch(*args, CONFIDENCE),
+            )
+        assert with_table[0] == with_scipy[0]
+        assert np.array_equal(with_table[1], with_scipy[1])
